@@ -3,7 +3,9 @@ sweeps, evaluate single bounds, and emit the errata report.
 
 Exit codes: 0 all checks proved/matched; 1 at least one failed or
 mismatched; 2 undecided results present (always for ``verify``, under
-``--strict`` for rendering commands); 64 usage or domain error.
+``--strict`` for ``table`` and ``bound``, and for ``errata``, whose evidence
+must be proved in full: it then prints one line on stderr and no payload);
+64 usage or domain error.
 
 Output is deterministic: identical invocations produce byte-identical
 payloads once ``--no-timing`` drops the wall-clock fields.
@@ -19,17 +21,9 @@ import sys
 
 from . import bounds as bd
 from .errata import ErrataEntry, build_errata
-from .interval import NeedsMorePrecision, PrecisionPolicy, render_significant
-from .sweeps import SweepReport, run_verify
-from .tables import (
-    TABLE_COLUMNS,
-    TABLE_DIGITS,
-    TABLE_HEADERS,
-    TABLE_IDS,
-    TableReport,
-    UNDETERMINED,
-    build_table,
-)
+from .interval import UNDETERMINED, NeedsMorePrecision, PrecisionPolicy, render_escalating
+from .sweeps import run_verify
+from .tables import TABLE_HEADERS, TABLE_IDS, TableReport, build_table
 
 __all__ = ["main"]
 
@@ -71,6 +65,7 @@ def _build_parser() -> _Parser:
         parents=[common],
         help="recompute a published table and grade every cell",
     )
+    p_table.set_defaults(run=_cmd_table)
     p_table.add_argument("table_id", choices=TABLE_IDS)
     p_table.add_argument(
         "--digits",
@@ -83,6 +78,7 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run certified sweep checks over 1..max-n"
     )
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--max-n", type=int, required=True, metavar="N")
     p_verify.add_argument(
         "--order",
@@ -98,6 +94,7 @@ def _build_parser() -> _Parser:
     p_bound = sub.add_parser(
         "bound", parents=[common], help="evaluate one named bound at one point"
     )
+    p_bound.set_defaults(run=_cmd_bound)
     p_bound.add_argument("n", type=int)
     p_bound.add_argument("name", choices=[b.value for b in bd.BoundName])
     p_bound.add_argument("--digits", type=int, default=10)
@@ -111,7 +108,10 @@ def _build_parser() -> _Parser:
         "bound), or N for GeneralRS",
     )
 
-    sub.add_parser("errata", parents=[common], help="emit the reproducible discrepancies")
+    p_errata = sub.add_parser(
+        "errata", parents=[common], help="emit the reproducible discrepancies"
+    )
+    p_errata.set_defaults(run=_cmd_errata)
     return parser
 
 
@@ -119,7 +119,26 @@ def _policy(args) -> PrecisionPolicy:
     return PrecisionPolicy(args.precision_init, args.precision_max)
 
 
-def _emit(payload: str, args) -> None:
+def _exit_code(failed: bool, undecided: bool) -> int:
+    return EXIT_FAILED if failed else EXIT_UNDECIDED if undecided else EXIT_OK
+
+
+def _emit(args, doc, header, rows, md) -> None:
+    """Write the payload in the requested ``--format`` to ``--out`` or stdout.
+
+    ``doc`` is the json document, ``header`` and ``rows`` the csv table and
+    ``md()`` builds the markdown text; only the requested format is rendered.
+    """
+    if args.format == "json":
+        payload = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        payload = buf.getvalue()
+    else:
+        payload = md()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -127,7 +146,7 @@ def _emit(payload: str, args) -> None:
         sys.stdout.write(payload)
 
 
-# -- table rendering -----------------------------------------------------------
+# -- table -----------------------------------------------------------------------
 
 
 def _table_md(report: TableReport) -> str:
@@ -161,19 +180,12 @@ def _table_md(report: TableReport) -> str:
     return "\n".join(lines)
 
 
-def _table_csv(report: TableReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["table", "n", "column", "rendered", "expected", "status"])
-    for row in report.rows:
-        for cell in row.cells:
-            w.writerow(
-                [report.table_id, row.n, cell.column, cell.rendered, cell.expected, cell.status]
-            )
-    return buf.getvalue()
+_TABLE_CSV_HEADER = ("table", "n", "column", "rendered", "expected", "status")
 
 
-def _table_json(report: TableReport) -> str:
+def _cmd_table(args) -> int:
+    report = build_table(args.table_id, args.digits, _policy(args))
+    c = report.counts()
     rows = []
     for row in report.rows:
         flat: dict = {"n": row.n, "label": row.label}
@@ -182,53 +194,20 @@ def _table_json(report: TableReport) -> str:
             flat[f"{cell.column}_expected"] = cell.expected
             flat[f"{cell.column}_status"] = cell.status
         rows.append(flat)
-    doc = {
-        "table": report.table_id,
-        "digits": report.digits,
-        "counts": report.counts(),
-        "rows": rows,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    doc = {"table": report.table_id, "digits": report.digits, "counts": c, "rows": rows}
+    cells = (
+        (report.table_id, row.n, cell.column, cell.rendered, cell.expected, cell.status)
+        for row in report.rows
+        for cell in row.cells
+    )
+    _emit(args, doc, _TABLE_CSV_HEADER, cells, lambda: _table_md(report))
+    return _exit_code(c["mismatch"] > 0, c["undecided"] > 0 and args.strict)
 
 
-def _cmd_table(args) -> int:
-    report = build_table(args.table_id, args.digits, _policy(args))
-    payload = {"md": _table_md, "csv": _table_csv, "json": _table_json}[args.format](report)
-    _emit(payload, args)
-    c = report.counts()
-    if c["mismatch"]:
-        return EXIT_FAILED
-    if c["undecided"] and args.strict:
-        return EXIT_UNDECIDED
-    return EXIT_OK
+# -- verify ----------------------------------------------------------------------
 
 
-# -- verify rendering ------------------------------------------------------------
-
-
-def _sweep_rows(reports: list[SweepReport], with_timing: bool) -> list[dict]:
-    rows = []
-    for rep in reports:
-        row = {
-            "check": rep.check,
-            "n_lo": rep.n_lo,
-            "n_hi": rep.n_hi,
-            "proved": rep.proved,
-            "failed": rep.failed,
-            "undecided": rep.undecided,
-            "worst_rel_width": f"{rep.worst_rel_width:.3e}",
-            "failures": [f"n={n}: {what}" for n, what in rep.failures],
-        }
-        if with_timing:
-            row["wall_time_s"] = f"{rep.wall_time:.2f}"
-        rows.append(row)
-    return rows
-
-
-def _verify_md(rows: list[dict], with_timing: bool) -> str:
-    cols = ["check", "n_lo", "n_hi", "proved", "failed", "undecided", "worst_rel_width"]
-    if with_timing:
-        cols.append("wall_time_s")
+def _verify_md(rows: list[dict], cols: list[str]) -> str:
     lines = [
         "# certified sweep verification",
         "",
@@ -244,40 +223,39 @@ def _verify_md(rows: list[dict], with_timing: bool) -> str:
     return "\n".join(lines)
 
 
-def _verify_csv(rows: list[dict], with_timing: bool) -> str:
-    cols = ["check", "n_lo", "n_hi", "proved", "failed", "undecided", "worst_rel_width"]
-    if with_timing:
-        cols.append("wall_time_s")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    for row in rows:
-        w.writerow([row[c] for c in cols])
-    return buf.getvalue()
-
-
 def _cmd_verify(args) -> int:
     orders = tuple(args.order) if args.order else (1, 2, 3, 4)
     for j in orders:
         if not 1 <= j <= bd.MAX_SERIES_ORDER:
             raise ValueError(f"order {j} outside 1..{bd.MAX_SERIES_ORDER}")
     reports = run_verify(args.max_n, orders, _policy(args), jobs=args.jobs)
-    rows = _sweep_rows(reports, with_timing=not args.no_timing)
-    if args.format == "json":
-        payload = json.dumps({"max_n": args.max_n, "checks": rows}, indent=2) + "\n"
-    elif args.format == "csv":
-        payload = _verify_csv(rows, with_timing=not args.no_timing)
-    else:
-        payload = _verify_md(rows, with_timing=not args.no_timing)
-    _emit(payload, args)
-    if any(rep.failed for rep in reports):
-        return EXIT_FAILED
-    if any(rep.undecided for rep in reports):
-        return EXIT_UNDECIDED
-    return EXIT_OK
+    rows = []
+    for rep in reports:
+        row = {
+            "check": rep.check,
+            "n_lo": rep.n_lo,
+            "n_hi": rep.n_hi,
+            "proved": rep.proved,
+            "failed": rep.failed,
+            "undecided": rep.undecided,
+            "worst_rel_width": f"{rep.worst_rel_width:.3e}",
+            "failures": [f"n={n}: {what}" for n, what in rep.failures],
+        }
+        if not args.no_timing:
+            row["wall_time_s"] = f"{rep.wall_time:.2f}"
+        rows.append(row)
+    cols = ["check", "n_lo", "n_hi", "proved", "failed", "undecided", "worst_rel_width"]
+    if not args.no_timing:
+        cols.append("wall_time_s")
+    doc = {"max_n": args.max_n, "checks": rows}
+    table = ([row[c] for c in cols] for row in rows)
+    _emit(args, doc, cols, table, lambda: _verify_md(rows, cols))
+    return _exit_code(
+        any(rep.failed for rep in reports), any(rep.undecided for rep in reports)
+    )
 
 
-# -- bound rendering -------------------------------------------------------------
+# -- bound -----------------------------------------------------------------------
 
 
 def _evaluate_named_bound(args, p: int) -> bd.BoundResult:
@@ -307,47 +285,36 @@ def _evaluate_named_bound(args, p: int) -> bd.BoundResult:
 
 
 def _cmd_bound(args) -> int:
-    policy = _policy(args)
-    rendered = UNDETERMINED
-    result = None
-    for p in policy.precisions():
-        result = _evaluate_named_bound(args, p)
-        try:
-            rendered = render_significant(result.value, args.digits)
-            break
-        except NeedsMorePrecision:
-            continue
-    assert result is not None
+    evaluated = []  # the result of each precision tried; the last one is reported
+
+    def value_at(p: int):
+        evaluated.append(_evaluate_named_bound(args, p))
+        return evaluated[-1].value
+
+    rendered = render_escalating(value_at, args.digits, _policy(args))
+    result = evaluated[-1]
+    name, params, exponent = result.name.value, dict(result.parameters), str(result.exponent)
     doc = {
-        "bound": result.name.value,
-        "parameters": dict(result.parameters),
+        "bound": name,
+        "parameters": params,
         "digits": args.digits,
         "value": rendered,
-        "exponent": str(result.exponent),
+        "exponent": exponent,
     }
-    if args.format == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["bound", "parameters", "digits", "value", "exponent"])
-        params = ";".join(f"{k}={v}" for k, v in doc["parameters"].items())
-        w.writerow([doc["bound"], params, doc["digits"], doc["value"], doc["exponent"]])
-        payload = buf.getvalue()
-    else:
-        params = ", ".join(f"{k}={v}" for k, v in doc["parameters"].items())
-        payload = (
-            f"{doc['bound']}({params})\n"
-            f"value    = {doc['value']}\n"
-            f"exponent = {doc['exponent']}\n"
-        )
-    _emit(payload, args)
-    if rendered == UNDETERMINED and args.strict:
-        return EXIT_UNDECIDED
-    return EXIT_OK
+    pairs = [f"{k}={v}" for k, v in params.items()]
+    _emit(
+        args,
+        doc,
+        doc.keys(),
+        [(name, ";".join(pairs), args.digits, rendered, exponent)],
+        lambda: f"{name}({', '.join(pairs)})\nvalue    = {rendered}\nexponent = {exponent}\n",
+    )
+    return _exit_code(False, rendered == UNDETERMINED and args.strict)
 
 
-# -- errata rendering ------------------------------------------------------------
+# -- errata ----------------------------------------------------------------------
+
+_ERRATA_FIELDS = ("location", "classification", "paper_value", "computed_value", "evidence")
 
 
 def _errata_md(entries: list[ErrataEntry]) -> str:
@@ -366,28 +333,9 @@ def _errata_md(entries: list[ErrataEntry]) -> str:
 
 def _cmd_errata(args) -> int:
     entries = build_errata(_policy(args))
-    if args.format == "json":
-        docs = [
-            {
-                "location": e.location,
-                "classification": e.classification,
-                "paper_value": e.paper_value,
-                "computed_value": e.computed_value,
-                "evidence": e.evidence,
-            }
-            for e in entries
-        ]
-        payload = json.dumps(docs, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["location", "classification", "paper_value", "computed_value", "evidence"])
-        for e in entries:
-            w.writerow([e.location, e.classification, e.paper_value, e.computed_value, e.evidence])
-        payload = buf.getvalue()
-    else:
-        payload = _errata_md(entries)
-    _emit(payload, args)
+    rows = [[getattr(e, f) for f in _ERRATA_FIELDS] for e in entries]
+    docs = [dict(zip(_ERRATA_FIELDS, row)) for row in rows]
+    _emit(args, docs, _ERRATA_FIELDS, rows, lambda: _errata_md(entries))
     return EXIT_OK
 
 
@@ -400,15 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.precision_init < 2 or args.precision_init > args.precision_max:
             raise ValueError("need 2 <= --precision-init <= --precision-max")
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "errata":
-            return _cmd_errata(args)
-        raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
+        return args.run(args)
+    except NeedsMorePrecision as exc:
+        print(f"binomcert: undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except (ValueError, ZeroDivisionError) as exc:
         print(f"binomcert: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

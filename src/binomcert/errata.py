@@ -14,7 +14,13 @@ from fractions import Fraction
 from . import bounds as bd
 from .bounds import _evaluate
 from .combinatorics import bernoulli, binomial, central_binomial
-from .interval import DEFAULT_POLICY, NeedsMorePrecision, PrecisionPolicy, render_significant
+from .interval import (
+    DEFAULT_POLICY,
+    UNDETERMINED,
+    NeedsMorePrecision,
+    PrecisionPolicy,
+    render_escalating,
+)
 
 __all__ = ["ErrataEntry", "CLASSIFICATIONS", "build_errata"]
 
@@ -31,12 +37,10 @@ class ErrataEntry:
 
 
 def _render(make, digits: int, policy: PrecisionPolicy) -> str:
-    for p in policy.precisions():
-        try:
-            return render_significant(make(p), digits)
-        except NeedsMorePrecision:
-            continue
-    raise NeedsMorePrecision("errata evidence did not converge")  # pragma: no cover
+    text = render_escalating(make, digits, policy)
+    if text == UNDETERMINED:  # evidence is printed proved or not at all
+        raise NeedsMorePrecision(f"errata evidence needs more than {policy.maximum} bits")
+    return text
 
 
 def _bernoulli_sign_entry() -> ErrataEntry:

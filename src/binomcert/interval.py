@@ -44,7 +44,9 @@ __all__ = [
     "certainly_less",
     "scaled_width",
     "render_significant",
+    "render_escalating",
     "round_significant",
+    "UNDETERMINED",
 ]
 
 
@@ -202,10 +204,6 @@ class IntervalReal:
         except OverflowError:
             return float("inf")
 
-    def midpoint(self) -> Dyadic:
-        m, e = _add(self.lo, self.hi)
-        return Dyadic(*_norm(m, e - 1))
-
     def contains(self, q: Fraction | int) -> bool:
         q = Fraction(q)
         return self.lo.as_fraction() <= q <= self.hi.as_fraction()
@@ -294,14 +292,6 @@ class IntervalReal:
         return IntervalReal(_round_down(*lo, p), _round_up(*hi, p), p)
 
     # -- set operations -----------------------------------------------------
-
-    def intersect(self, other: "IntervalReal") -> "IntervalReal":
-        """Intersection; sound when both enclose the same true value."""
-        lo = self.lo if _cmp(self.lo, other.lo) >= 0 else other.lo
-        hi = self.hi if _cmp(self.hi, other.hi) <= 0 else other.hi
-        if _cmp(lo, hi) > 0:
-            raise ValueError("intersect: disjoint intervals")
-        return IntervalReal(lo, hi, max(self.prec, other.prec))
 
     def hull(self, other: "IntervalReal") -> "IntervalReal":
         lo = self.lo if _cmp(self.lo, other.lo) <= 0 else other.lo
@@ -702,3 +692,18 @@ def render_significant(iv: IntervalReal, digits: int) -> str:
             f"interval spans [{lo_s}, {hi_s}] at {digits} significant digits"
         )
     return lo_s
+
+
+UNDETERMINED = "?"  # printed for a value no precision of the policy pins down
+
+
+def render_escalating(make, digits: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> str:
+    """Render the interval ``make(p)`` at each precision ``p`` of ``policy``
+    until its ``digits`` significant digits are proved (Ziv's strategy, ACM
+    TOMS 17(3), 1991); :data:`UNDETERMINED` if the policy runs out first."""
+    for p in policy.precisions():
+        try:
+            return render_significant(make(p), digits)
+        except NeedsMorePrecision:
+            continue
+    return UNDETERMINED

@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import pairwise
 
 from . import bounds as bd
 from . import interval as ivl
@@ -95,20 +96,12 @@ def _decide_less(make_pair, policy: PrecisionPolicy) -> tuple[str, float]:
 def sandwich_sweep(
     n_lo: int, n_hi: int, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> SweepReport:
-    """order-1 lower bound < C(2n,n) < order-2 upper bound, for each n."""
-    t0 = time.perf_counter()
-    rep = SweepReport("sandwich", n_lo, n_hi)
-    for n, b in central_binomials(n_lo, n_hi):
-        verdict, w = _decide_less(
-            lambda p: (bd.central_lower(n, 1, p).value, ivl.from_int(b, p)), policy
-        )
-        rep.record(n, verdict, w, "lower(1) !< exact" if verdict != "proved" else "")
-        verdict, w = _decide_less(
-            lambda p: (ivl.from_int(b, p), bd.central_upper(n, 2, p).value), policy
-        )
-        rep.record(n, verdict, w, "exact !< upper(2)" if verdict != "proved" else "")
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+    """order-1 lower bound < C(2n,n) < order-2 upper bound, for each n.
+
+    These are the alternation check's decisions at orders 1 and 2, so the
+    report equals ``alternation_sweep(n_lo, n_hi, (1, 2))`` under its own name.
+    """
+    return _alternation("sandwich", n_lo, n_hi, (1, 2), policy)
 
 
 DOMINANCE_SPOT_CHECKS = (1, 10, 100, 1000)
@@ -151,8 +144,14 @@ def alternation_sweep(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> SweepReport:
     """Odd-order truncations below the exact value, even-order above."""
+    return _alternation("alternation", n_lo, n_hi, orders, policy)
+
+
+def _alternation(
+    check: str, n_lo: int, n_hi: int, orders: tuple[int, ...], policy: PrecisionPolicy
+) -> SweepReport:
     t0 = time.perf_counter()
-    rep = SweepReport("alternation", n_lo, n_hi)
+    rep = SweepReport(check, n_lo, n_hi)
     orders = tuple(sorted(set(orders)))
     for n, b in central_binomials(n_lo, n_hi):
         for order in orders:
@@ -185,28 +184,23 @@ def order_improvement_sweep(
 ) -> SweepReport:
     """Ratio-level gap shrinks with the order and, at order 2, with n.
 
-    Checks per n: gap4(n) < gap2(n), and gap2(n+1) < gap2(n) (consecutive
-    pairs within the range).
+    Checks per n in n_lo..n_hi: gap4(n) < gap2(n), and gap2(n+1) < gap2(n),
+    which evaluates gap2 at n_hi + 1 too.
     """
     if n_lo < 2:
         n_lo = 2  # ratio gaps below n=2 are outside the monotone regime
     t0 = time.perf_counter()
     rep = SweepReport("order_improvement", n_lo, n_hi)
-    cache: dict[int, int] = {}
-    for n, b in central_binomials(n_lo, n_hi + 1):
-        cache[n] = b
-    for n in range(n_lo, n_hi + 1):
-        b = cache[n]
+    # two binomials at a time: memory stays linear in the range
+    for (n, b), (n1, b1) in pairwise(central_binomials(n_lo, n_hi + 1)):
         verdict, w = _decide_less(
             lambda p: (_ratio_gap(n, 4, b, p), _ratio_gap(n, 2, b, p)), policy
         )
         rep.record(n, verdict, w, "gap4 !< gap2" if verdict != "proved" else "")
-        if n + 1 in cache:
-            verdict, w = _decide_less(
-                lambda p: (_ratio_gap(n + 1, 2, cache[n + 1], p), _ratio_gap(n, 2, b, p)),
-                policy,
-            )
-            rep.record(n, verdict, w, "gap2 not decreasing" if verdict != "proved" else "")
+        verdict, w = _decide_less(
+            lambda p: (_ratio_gap(n1, 2, b1, p), _ratio_gap(n, 2, b, p)), policy
+        )
+        rep.record(n, verdict, w, "gap2 not decreasing" if verdict != "proved" else "")
     rep.wall_time = time.perf_counter() - t0
     return rep
 

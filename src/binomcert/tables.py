@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from . import bounds as bd
 from . import interval as ivl
 from .combinatorics import catalan, central_binomial
-from .interval import (
-    DEFAULT_POLICY,
-    NeedsMorePrecision,
-    PrecisionPolicy,
-    render_significant,
-)
+from .interval import DEFAULT_POLICY, UNDETERMINED, PrecisionPolicy, render_escalating
 
 __all__ = [
     "TABLE_IDS",
@@ -97,8 +92,6 @@ _EXPECTED = {"table1": _TABLE1, "table2": _TABLE2, "table3": _TABLE3}
 # Cells whose published string is known not to survive recomputation.
 KNOWN_MISMATCHES = {("table1", 5, "agievich_central")}
 
-UNDETERMINED = "?"
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -127,16 +120,6 @@ class TableReport:
             for cell in row.cells:
                 out[cell.status] += 1
         return out
-
-
-def _render_escalating(make, digits: int, policy: PrecisionPolicy) -> str:
-    """Evaluate make(p) at escalating precision until the digits pin down."""
-    for p in policy.precisions():
-        try:
-            return render_significant(make(p), digits)
-        except NeedsMorePrecision:
-            continue
-    return UNDETERMINED
 
 
 def _cell_makers(table_id: str, n: int):
@@ -194,7 +177,7 @@ def build_table(
             if maker is None:
                 rendered = str(_exact_cell_value(table_id, n))
             else:
-                rendered = _render_escalating(maker, digits, policy)
+                rendered = render_escalating(maker, digits, policy)
             if rendered == UNDETERMINED:
                 status = "undecided"
             elif rendered == expected:

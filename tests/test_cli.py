@@ -67,6 +67,8 @@ def _cases() -> dict[str, str]:
             "verify_starved.md": f"verify --max-n 3 {STARVED} --no-timing",
             "verify_jobs0.md": "verify --max-n 40 --jobs 0 --no-timing",
             "verify_jobs2.md": "verify --max-n 40 --jobs 2 --no-timing",
+            # evidence that cannot be proved is refused, not printed as "?"
+            "errata_starved.md": "errata --precision-init 2 --precision-max 4",
             # usage and domain errors
             "usage_bound_n0.md": "bound 0 AgievichCentral",
             "usage_verify_order25.md": "verify --max-n 10 --order 25",

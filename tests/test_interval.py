@@ -14,7 +14,9 @@ from binomcert.interval import (
     exp,
     from_int,
     from_rational,
+    UNDETERMINED,
     pi,
+    render_escalating,
     render_significant,
     round_significant,
     sqrt,
@@ -289,6 +291,22 @@ def printed_ulp(s: str, digits: int) -> Fraction:
     else:
         e = -(len(frac_part) - len(frac_part.lstrip("0")) + 1)
     return Fraction(10) ** (e - digits + 1)
+
+
+def test_render_escalating_retries_until_digits_are_proved():
+    tried = []
+
+    def third(p):
+        tried.append(p)
+        return from_rational(Fraction(1, 3), p)
+
+    # 30 digits need about 100 bits: refused at 64, proved at 128
+    assert render_escalating(third, 30, PrecisionPolicy(64, 512)) == "0." + "3" * 30
+    assert tried == [64, 128]
+    tried.clear()
+    assert render_escalating(third, 30, PrecisionPolicy(8, 32)) == UNDETERMINED
+    assert tried == [8, 16, 32]
+
 
 
 @pytest.mark.parametrize(

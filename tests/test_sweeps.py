@@ -1,8 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
-from binomcert.interval import PrecisionPolicy
+from binomcert.interval import DEFAULT_POLICY, PrecisionPolicy
 from binomcert.sweeps import (
     alternation_sweep,
     dominance_sweep,
@@ -53,6 +54,21 @@ def test_order_improvement():
     assert (rep.proved, rep.failed, rep.undecided) == (198, 0, 0)
 
 
+def test_order_improvement_memory_is_linear():
+    # An untraced run first fills the per-process caches (series coefficients,
+    # pi, exp(1/2)) and the interpreter's free lists, which keep about 250 KiB
+    # of freed tuples; the traced peak is then what the sweep itself holds.
+    # Holding every C(2n, n) of the range peaked at 707 KiB here.
+    order_improvement_sweep(2, 2000, TINY)
+    tracemalloc.start()
+    try:
+        order_improvement_sweep(2, 2000, TINY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
 def test_general_r_small():
     rep = general_r_sweep((3, 4, 5), 12, (1, 2))
     assert (rep.proved, rep.failed, rep.undecided) == (72, 0, 0)
@@ -76,6 +92,15 @@ def _strip_timing(rep):
     d = dataclasses.asdict(rep)
     d.pop("wall_time")
     return d
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, TINY])
+def test_sandwich_is_alternation_at_orders_1_and_2(policy):
+    sandwich = _strip_timing(sandwich_sweep(1, 60, policy))
+    alternation = _strip_timing(alternation_sweep(1, 60, (1, 2), policy))
+    assert sandwich.pop("check") == "sandwich"
+    assert alternation.pop("check") == "alternation"
+    assert sandwich == alternation
 
 
 def test_chunked_equals_sequential():
