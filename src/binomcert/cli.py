@@ -146,7 +146,7 @@ def _emit(args, doc, header, rows, md) -> None:
         sys.stdout.write(payload)
 
 
-# -- table -----------------------------------------------------------------------
+# -- table rendering -----------------------------------------------------------
 
 
 def _table_md(report: TableReport) -> str:
@@ -204,7 +204,7 @@ def _cmd_table(args) -> int:
     return _exit_code(c["mismatch"] > 0, c["undecided"] > 0 and args.strict)
 
 
-# -- verify ----------------------------------------------------------------------
+# -- verify rendering ------------------------------------------------------------
 
 
 def _verify_md(rows: list[dict], cols: list[str]) -> str:
@@ -255,7 +255,7 @@ def _cmd_verify(args) -> int:
     )
 
 
-# -- bound -----------------------------------------------------------------------
+# -- bound rendering -------------------------------------------------------------
 
 
 def _evaluate_named_bound(args, p: int) -> bd.BoundResult:
@@ -312,7 +312,7 @@ def _cmd_bound(args) -> int:
     return _exit_code(False, rendered == UNDETERMINED and args.strict)
 
 
-# -- errata ----------------------------------------------------------------------
+# -- errata rendering ------------------------------------------------------------
 
 _ERRATA_FIELDS = ("location", "classification", "paper_value", "computed_value", "evidence")
 
