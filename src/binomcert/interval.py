@@ -46,6 +46,7 @@ __all__ = [
     "render_significant",
     "render_escalating",
     "round_significant",
+    "MAX_DIGITS",
     "UNDETERMINED",
 ]
 
@@ -598,19 +599,16 @@ def exp(a: IntervalReal) -> IntervalReal:
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Escalation schedule: start at ``initial`` bits, multiply by ``factor``
-    (>= 2) until ``maximum``; a comparison still undecided at ``maximum`` is
-    reported as undecided, never guessed."""
+    """Escalation schedule: start at ``initial`` bits, double until
+    ``maximum``; a comparison still undecided at ``maximum`` is reported as
+    undecided, never guessed."""
 
     initial: int = 64
     maximum: int = 512
-    factor: int = 2
 
     def __post_init__(self) -> None:
         if self.initial < 2 or self.initial > self.maximum:
             raise ValueError("PrecisionPolicy: need 2 <= initial <= maximum")
-        if self.factor < 2:
-            raise ValueError("PrecisionPolicy: escalation factor must be >= 2")
 
     def precisions(self) -> Iterator[int]:
         p = self.initial
@@ -618,13 +616,16 @@ class PrecisionPolicy:
             yield p
             if p >= self.maximum:
                 return
-            p = min(p * self.factor, self.maximum)
+            p = min(2 * p, self.maximum)
 
 
 DEFAULT_POLICY = PrecisionPolicy()
 
 
 # -- decimal rendering ---------------------------------------------------------
+
+
+MAX_DIGITS = 4300  # Python's default int-to-str digit limit (sys.int_info)
 
 
 def round_significant(x: Fraction, digits: int) -> str:
@@ -639,10 +640,16 @@ def round_significant(x: Fraction, digits: int) -> str:
     and a reader must take the ulp from ``digits`` and ``e``, not from the
     trailing zeros.  Magnitudes beyond Python's int-to-str digit limit are
     fine: the exponent comes from ``bit_length``, and only the ``digits``
-    leading digits are ever converted to a string.
+    leading digits are ever converted to a string, so ``digits`` itself may
+    not exceed that limit, :data:`MAX_DIGITS`.
     """
     if digits < 1:
         raise ValueError("round_significant: digits must be >= 1")
+    if digits > MAX_DIGITS:
+        raise ValueError(
+            f"round_significant: digits must be <= {MAX_DIGITS}, "
+            "Python's int-to-str conversion limit"
+        )
     if x == 0:
         return "0"
     if x < 0:

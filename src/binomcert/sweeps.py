@@ -6,10 +6,16 @@ verdict per instance: ``proved`` when the inequality holds with certainty,
 was exhausted with the intervals still overlapping.  Verdicts are never
 guessed from midpoints.
 
-Sweeps may be partitioned across processes by chunking the n-range; chunk
-reports merge by ascending n, so the result is identical to a sequential
-run.  All shared caches (Bernoulli, pi, exp(1/2)) are either precomputed
-before fan-out or rebuilt per worker, per their home modules' contracts.
+Each sweep is a stream of ``(n, (verdict, width), tag)`` decisions that one
+loop turns into a :class:`SweepReport`.  A comparison whose transcendental
+parts cancel is decided in exact rationals and reported with width 0.
+
+:func:`run_verify` may partition its checks across processes by chunking the
+n-range: every check-chunk task of one run goes through a single process
+pool, and chunk reports merge by ascending n, so verdicts, counts and
+failures are identical to a sequential run.  All shared caches (Bernoulli,
+pi, exp(1/2)) are either precomputed before fan-out or rebuilt per worker,
+per their home modules' contracts.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import pairwise
 
 from . import bounds as bd
@@ -93,6 +98,22 @@ def _decide_less(make_pair, policy: PrecisionPolicy) -> tuple[str, float]:
     return "undecided", width
 
 
+def _exact(holds: bool) -> tuple[str, float]:
+    """The verdict of a comparison decided in exact rationals: no interval width."""
+    return ("proved" if holds else "failed"), 0.0
+
+
+def _report(check: str, n_lo: int, n_hi: int, decisions) -> SweepReport:
+    """Time and record a stream of ``(n, (verdict, width), tag)`` decisions;
+    the tag is kept as the failure detail of a verdict other than ``proved``."""
+    t0 = time.perf_counter()
+    rep = SweepReport(check, n_lo, n_hi)
+    for n, (verdict, width), tag in decisions:
+        rep.record(n, verdict, width, tag)
+    rep.wall_time = time.perf_counter() - t0
+    return rep
+
+
 def sandwich_sweep(
     n_lo: int, n_hi: int, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> SweepReport:
@@ -101,17 +122,14 @@ def sandwich_sweep(
     These are the alternation check's decisions at orders 1 and 2, so the
     report equals ``alternation_sweep(n_lo, n_hi, (1, 2))`` under its own name.
     """
-    return _alternation("sandwich", n_lo, n_hi, (1, 2), policy)
+    return _report("sandwich", n_lo, n_hi, _alternation(n_lo, n_hi, (1, 2), policy))
 
 
 DOMINANCE_SPOT_CHECKS = (1, 10, 100, 1000)
 
 
 def dominance_sweep(
-    n_lo: int,
-    n_hi: int,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-    spot_checks: tuple[int, ...] = DOMINANCE_SPOT_CHECKS,
+    n_lo: int, n_hi: int, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> SweepReport:
     """Order-2 series bound below the Gaussian-form central bound.
 
@@ -119,22 +137,16 @@ def dominance_sweep(
     exact rational sign test f(n) > 0 -- no intervals.  At the spot-check
     points the full interval route runs too and must agree.
     """
-    t0 = time.perf_counter()
-    rep = SweepReport("dominance", n_lo, n_hi)
-    for n in range(n_lo, n_hi + 1):
-        cmpres = bd.tightness_compare(n)
-        verdict = "proved" if cmpres.verdict == "sasvari_tighter" else "failed"
-        rep.record(n, verdict, 0.0, "f(n) <= 0" if verdict != "proved" else "")
-    for n in spot_checks:
-        if not n_lo <= n <= n_hi:
-            continue
-        verdict, w = _decide_less(
-            lambda p: (bd.sasvari_pair(n, p)[1].value, bd.agievich_central(n, p).value),
-            policy,
-        )
-        rep.record(n, verdict, w, "interval route disagrees" if verdict != "proved" else "")
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+
+    def decisions():
+        for n in range(n_lo, n_hi + 1):
+            yield n, _exact(bd.tightness_compare(n).verdict == "sasvari_tighter"), "f(n) <= 0"
+        for n in DOMINANCE_SPOT_CHECKS:
+            if n_lo <= n <= n_hi:
+                pair = lambda p: (bd.sasvari_pair(n, p)[1].value, bd.agievich_central(n, p).value)
+                yield n, _decide_less(pair, policy), "interval route disagrees"
+
+    return _report("dominance", n_lo, n_hi, decisions())
 
 
 def alternation_sweep(
@@ -144,33 +156,19 @@ def alternation_sweep(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> SweepReport:
     """Odd-order truncations below the exact value, even-order above."""
-    return _alternation("alternation", n_lo, n_hi, orders, policy)
+    return _report("alternation", n_lo, n_hi, _alternation(n_lo, n_hi, orders, policy))
 
 
-def _alternation(
-    check: str, n_lo: int, n_hi: int, orders: tuple[int, ...], policy: PrecisionPolicy
-) -> SweepReport:
-    t0 = time.perf_counter()
-    rep = SweepReport(check, n_lo, n_hi)
-    orders = tuple(sorted(set(orders)))
+def _alternation(n_lo: int, n_hi: int, orders: tuple[int, ...], policy: PrecisionPolicy):
+    orders = sorted(set(orders))
     for n, b in central_binomials(n_lo, n_hi):
         for order in orders:
             if order % 2 == 1:
-                pair = lambda p, o=order: (
-                    bd.central_lower(n, o, p).value,
-                    ivl.from_int(b, p),
-                )
-                tag = f"lower({order}) !< exact"
+                pair = lambda p: (bd.central_lower(n, order, p).value, ivl.from_int(b, p))
+                yield n, _decide_less(pair, policy), f"lower({order}) !< exact"
             else:
-                pair = lambda p, o=order: (
-                    ivl.from_int(b, p),
-                    bd.central_upper(n, o, p).value,
-                )
-                tag = f"exact !< upper({order})"
-            verdict, w = _decide_less(pair, policy)
-            rep.record(n, verdict, w, tag if verdict != "proved" else "")
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+                pair = lambda p: (ivl.from_int(b, p), bd.central_upper(n, order, p).value)
+                yield n, _decide_less(pair, policy), f"exact !< upper({order})"
 
 
 def _ratio_gap(n: int, order: int, b: int, p: int) -> ivl.IntervalReal:
@@ -185,24 +183,22 @@ def order_improvement_sweep(
     """Ratio-level gap shrinks with the order and, at order 2, with n.
 
     Checks per n in n_lo..n_hi: gap4(n) < gap2(n), and gap2(n+1) < gap2(n),
-    which evaluates gap2 at n_hi + 1 too.
+    which evaluates gap2 at n_hi + 1 too.  The two gaps at one n share the
+    C(2n,n) sqrt(pi n)/4^n term and exp is monotone, so the first check is
+    the exact rational test D4(n) < D2(n) of the truncated exponents.
     """
-    if n_lo < 2:
-        n_lo = 2  # ratio gaps below n=2 are outside the monotone regime
-    t0 = time.perf_counter()
-    rep = SweepReport("order_improvement", n_lo, n_hi)
-    # two binomials at a time: memory stays linear in the range
-    for (n, b), (n1, b1) in pairwise(central_binomials(n_lo, n_hi + 1)):
-        verdict, w = _decide_less(
-            lambda p: (_ratio_gap(n, 4, b, p), _ratio_gap(n, 2, b, p)), policy
-        )
-        rep.record(n, verdict, w, "gap4 !< gap2" if verdict != "proved" else "")
-        verdict, w = _decide_less(
-            lambda p: (_ratio_gap(n1, 2, b1, p), _ratio_gap(n, 2, b, p)), policy
-        )
-        rep.record(n, verdict, w, "gap2 not decreasing" if verdict != "proved" else "")
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+    n_lo = max(n_lo, 2)  # ratio gaps below n=2 are outside the monotone regime
+
+    def decisions():
+        d2 = bd.central_exponent_coefficients(2).exponent_at
+        d4 = bd.central_exponent_coefficients(4).exponent_at
+        # two binomials at a time: memory stays linear in the range
+        for (n, b), (n1, b1) in pairwise(central_binomials(n_lo, n_hi + 1)):
+            yield n, _exact(d4(n) < d2(n)), "gap4 !< gap2"
+            pair = lambda p: (_ratio_gap(n1, 2, b1, p), _ratio_gap(n, 2, b, p))
+            yield n, _decide_less(pair, policy), "gap2 not decreasing"
+
+    return _report("order_improvement", n_lo, n_hi, decisions())
 
 
 def general_r_sweep(
@@ -212,27 +208,19 @@ def general_r_sweep(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> SweepReport:
     """Corrected general bound exceeds C(rs, s) across r, s, order."""
-    t0 = time.perf_counter()
-    rep = SweepReport("general_r", 1, s_max)
-    for r in r_values:
-        for s in range(1, s_max + 1):
-            exact = binomial(r * s, s)
-            for order in orders:
-                verdict, w = _decide_less(
-                    lambda p: (
+
+    def decisions():
+        for r in r_values:
+            for s in range(1, s_max + 1):
+                exact = binomial(r * s, s)
+                for order in orders:
+                    pair = lambda p: (
                         ivl.from_int(exact, p),
                         bd.general_rs_bound(r, s, order, p).value,
-                    ),
-                    policy,
-                )
-                rep.record(
-                    s,
-                    verdict,
-                    w,
-                    f"r={r} s={s} N={order}" if verdict != "proved" else "",
-                )
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+                    )
+                    yield s, _decide_less(pair, policy), f"r={r} s={s} N={order}"
+
+    return _report("general_r", 1, s_max, decisions())
 
 
 # -- orchestration -------------------------------------------------------------
@@ -247,22 +235,9 @@ def _split_range(n_lo: int, n_hi: int, parts: int) -> list[tuple[int, int]]:
     return [(a, min(a + step - 1, n_hi)) for a in range(n_lo, n_hi + 1, step)]
 
 
-def _run_chunked(worker, n_lo: int, n_hi: int, jobs: int, **kw) -> SweepReport:
-    if jobs <= 1:
-        return worker(n_lo, n_hi, **kw)
-    chunks = _split_range(n_lo, n_hi, jobs)
-    t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(partial(_call_worker, worker, kw), chunks))
-    out = parts[0]
-    for part in parts[1:]:
-        out = out.merged(part)
-    out.wall_time = time.perf_counter() - t0
-    return out
-
-
-def _call_worker(worker, kw, chunk):
-    return worker(chunk[0], chunk[1], **kw)
+def _run_task(task) -> SweepReport:
+    sweep, n_lo, n_hi, kwargs = task
+    return sweep(n_lo, n_hi, **kwargs)
 
 
 def run_verify(
@@ -270,26 +245,39 @@ def run_verify(
     orders: tuple[int, ...] = (1, 2, 3, 4),
     policy: PrecisionPolicy = DEFAULT_POLICY,
     jobs: int = 1,
-    checks: tuple[str, ...] = VERIFY_CHECKS,
 ) -> list[SweepReport]:
-    """Run the standard verification checks over 1..max_n."""
+    """Run the :data:`VERIFY_CHECKS` over 1..max_n (order_improvement from 2).
+
+    Each check's range is cut into ``jobs`` chunks.  With ``jobs > 1`` every
+    check-chunk task runs through one process pool of at most ``jobs``
+    workers; otherwise the tasks run in this process.  A check's chunk
+    reports merge by ascending n, so verdicts, counts and failures equal a
+    sequential run's; the ``wall_time`` of a fanned-out check is the sum of
+    its chunks' times, since the checks share the pool's workers.
+    """
     if max_n < 1:
         raise ValueError("run_verify: max_n must be >= 1")
-    reports = []
-    for check in checks:
-        if check == "sandwich":
-            reports.append(_run_chunked(sandwich_sweep, 1, max_n, jobs, policy=policy))
-        elif check == "dominance":
-            reports.append(_run_chunked(dominance_sweep, 1, max_n, jobs, policy=policy))
-        elif check == "alternation":
-            reports.append(
-                _run_chunked(alternation_sweep, 1, max_n, jobs, orders=orders, policy=policy)
-            )
-        elif check == "order_improvement":
-            if max_n >= 2:
-                reports.append(
-                    _run_chunked(order_improvement_sweep, 2, max_n, jobs, policy=policy)
-                )
+    checks = [
+        (sandwich_sweep, 1, {"policy": policy}),
+        (dominance_sweep, 1, {"policy": policy}),
+        (alternation_sweep, 1, {"orders": orders, "policy": policy}),
+        (order_improvement_sweep, 2, {"policy": policy}),
+    ]
+    tasks = [
+        (sweep, a, b, kwargs)
+        for sweep, n_lo, kwargs in checks
+        if n_lo <= max_n
+        for a, b in _split_range(n_lo, max_n, jobs)
+    ]
+    if jobs > 1:
+        with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
+            parts = list(pool.map(_run_task, tasks))
+    else:
+        parts = [_run_task(task) for task in tasks]
+    reports: list[SweepReport] = []
+    for part in parts:
+        if reports and reports[-1].check == part.check:
+            reports[-1] = reports[-1].merged(part)
         else:
-            raise ValueError(f"unknown check {check!r}")
+            reports.append(part)
     return reports

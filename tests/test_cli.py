@@ -78,6 +78,7 @@ def _cases() -> dict[str, str]:
             "usage_max_n0.md": "verify --max-n 0",
             "usage_table_digits0.md": "table table1 --digits 0",
             "usage_bound_digits0.md": "bound 10 SasvariUpper --digits 0",
+            "usage_bound_digits5000.md": "bound 10 SasvariUpper --digits 5000",
             "usage_init_over_max.md": "table table1 --precision-init 128 --precision-max 64",
             "usage_init_below_2.md": "bound 10 SasvariUpper --precision-init 1",
         }

@@ -7,6 +7,7 @@ import pytest
 from binomcert.interval import (
     Dyadic,
     IntervalReal,
+    MAX_DIGITS,
     NeedsMorePrecision,
     PrecisionPolicy,
     TriState,
@@ -281,6 +282,15 @@ def test_round_significant_beyond_int_str_limit():
     assert round_significant(Fraction(1, 3 * 10**4400), 3) == "0." + "0" * 4400 + "333"
 
 
+def test_round_significant_digits_stop_at_int_str_limit():
+    # every printed digit passes through one int-to-str conversion, so the
+    # digit count is capped at Python's limit rather than failing inside it
+    assert MAX_DIGITS == 4300
+    assert round_significant(Fraction(1, 3), MAX_DIGITS) == "0." + "3" * MAX_DIGITS
+    with pytest.raises(ValueError, match="4300"):
+        round_significant(Fraction(1, 3), MAX_DIGITS + 1)
+
+
 def printed_ulp(s: str, digits: int) -> Fraction:
     # the unit in the last printed place, 10**(e - digits + 1) with e the
     # exponent of the leading digit; an integer such as "1000000" at 3 digits
@@ -359,9 +369,7 @@ def test_width_slack_of_artifact_compositions():
 
 
 def test_precision_policy():
-    policy = PrecisionPolicy(64, 512, 2)
+    policy = PrecisionPolicy(64, 512)
     assert list(policy.precisions()) == [64, 128, 256, 512]
     with pytest.raises(ValueError):
         PrecisionPolicy(64, 32)
-    with pytest.raises(ValueError):
-        PrecisionPolicy(64, 512, 1)

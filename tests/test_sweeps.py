@@ -3,6 +3,8 @@ import tracemalloc
 
 import pytest
 
+from binomcert import bounds, sweeps
+from binomcert.combinatorics import central_binomial
 from binomcert.interval import DEFAULT_POLICY, PrecisionPolicy
 from binomcert.sweeps import (
     alternation_sweep,
@@ -11,7 +13,6 @@ from binomcert.sweeps import (
     order_improvement_sweep,
     run_verify,
     sandwich_sweep,
-    _run_chunked,
 )
 
 TINY = PrecisionPolicy(4, 4)
@@ -104,9 +105,41 @@ def test_sandwich_is_alternation_at_orders_1_and_2(policy):
 
 
 def test_chunked_equals_sequential():
-    seq = _run_chunked(sandwich_sweep, 1, 120, 1, policy=PrecisionPolicy(64, 512))
-    par = _run_chunked(sandwich_sweep, 1, 120, 3, policy=PrecisionPolicy(64, 512))
-    assert _strip_timing(seq) == _strip_timing(par)
+    seq = [_strip_timing(r) for r in run_verify(120, jobs=1)]
+    par = [_strip_timing(r) for r in run_verify(120, jobs=3)]
+    assert [r["check"] for r in seq] == list(sweeps.VERIFY_CHECKS)
+    assert par == seq
+
+
+def test_run_verify_uses_one_pool_per_run(monkeypatch):
+    made = []
+
+    class CountingPool(sweeps.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
+    run_verify(30, jobs=2)
+    assert made == [(2,)]  # one pool of two workers for all eight tasks
+    run_verify(30, jobs=1)
+    assert made == [(2,)]
+
+
+def test_order_gap_rational_verdict_matches_interval_route():
+    # gap4(n) and gap2(n) share the C(2n,n) sqrt(pi n)/4^n term, so the sweep
+    # decides gap4 < gap2 by the exponents alone; the interval route, which
+    # subtracts that term from both sides, must reach the same verdict.
+    d2 = bounds.central_exponent_coefficients(2).exponent_at
+    d4 = bounds.central_exponent_coefficients(4).exponent_at
+    for n in range(2, 301):
+        b = central_binomial(n)
+        interval_verdict, _ = sweeps._decide_less(
+            lambda p: (sweeps._ratio_gap(n, 4, b, p), sweeps._ratio_gap(n, 2, b, p)),
+            DEFAULT_POLICY,
+        )
+        assert d4(n) < d2(n)
+        assert interval_verdict == "proved", n
 
 
 def test_merged_requires_same_check():
