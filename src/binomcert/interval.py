@@ -14,16 +14,13 @@ so for the compositions used in this package (a few multiplications, one
 sqrt, one exp) the relative width at working precision p stays below
 2**(-p + 8).  The test suite checks this slack empirically.
 
-Shared state is limited to per-precision caches of pi and exp(1/2); both
-are extended under a lock and entries are immutable once stored, so all
-operations are safe to call from concurrent workers (precomputing at the
-target precision up front avoids even that contention).
+Shared state is limited to per-precision caches of pi and exp(1/2), whose
+entries are immutable once stored.
 """
 
 from __future__ import annotations
 
 import math as _math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -414,7 +411,6 @@ _MACHIN = ((4, 5), (-1, 239))
 _HUTTON = ((2, 3), (1, 7))
 
 _pi_cache: dict[tuple[int, tuple], IntervalReal] = {}
-_pi_lock = threading.Lock()
 
 
 def _atan_inv_scaled(x: int, q: int) -> tuple[int, int, int]:
@@ -464,18 +460,13 @@ def pi(p: int, _formula: tuple = _MACHIN) -> IntervalReal:
     key = (p, _formula)
     got = _pi_cache.get(key)
     if got is None:
-        with _pi_lock:
-            got = _pi_cache.get(key)
-            if got is None:
-                got = _pi_from_formula(p, _formula)
-                _pi_cache[key] = got
+        got = _pi_cache[key] = _pi_from_formula(p, _formula)
     return got
 
 
 # -- exponential ---------------------------------------------------------------
 
 _exp_half_cache: dict[int, IntervalReal] = {}
-_exp_half_lock = threading.Lock()
 
 
 def _pow2_ceil_log(d: Dyadic) -> int:
@@ -533,12 +524,8 @@ def _exp_taylor(r: IntervalReal, p: int) -> IntervalReal:
 def _exp_half(p: int) -> IntervalReal:
     got = _exp_half_cache.get(p)
     if got is None:
-        with _exp_half_lock:
-            got = _exp_half_cache.get(p)
-            if got is None:
-                h = Dyadic(1, -1)
-                got = _exp_taylor(IntervalReal(h, h, p + 8), p + 8)
-                _exp_half_cache[p] = got
+        h = Dyadic(1, -1)
+        got = _exp_half_cache[p] = _exp_taylor(IntervalReal(h, h, p + 8), p + 8)
     return got
 
 

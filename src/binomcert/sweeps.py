@@ -20,6 +20,7 @@ per their home modules' contracts.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -250,10 +251,12 @@ def run_verify(
 
     Each check's range is cut into ``jobs`` chunks.  With ``jobs > 1`` every
     check-chunk task runs through one process pool of at most ``jobs``
-    workers; otherwise the tasks run in this process.  A check's chunk
-    reports merge by ascending n, so verdicts, counts and failures equal a
-    sequential run's; the ``wall_time`` of a fanned-out check is the sum of
-    its chunks' times, since the checks share the pool's workers.
+    workers, and never more than ``os.cpu_count()``; otherwise the tasks run
+    in this process.  Chunking follows ``jobs`` whatever the pool's size.  A
+    check's chunk reports merge by ascending n, so verdicts, counts and
+    failures equal a sequential run's; the ``wall_time`` of a fanned-out
+    check is the sum of its chunks' times, since the checks share the pool's
+    workers.
     """
     if max_n < 1:
         raise ValueError("run_verify: max_n must be >= 1")
@@ -270,7 +273,7 @@ def run_verify(
         for a, b in _split_range(n_lo, max_n, jobs)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_run_task, tasks))
     else:
         parts = [_run_task(task) for task in tasks]

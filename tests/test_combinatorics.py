@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from binomcert import combinatorics
 from binomcert.combinatorics import (
     BernoulliCache,
     bernoulli,
@@ -34,6 +35,68 @@ def test_binomial_matches_stdlib():
             assert binomial(n, k) == math.comb(n, k)
 
 
+def _first_factored_k(n):
+    # smallest k <= n/2 that binomial() sends to the Legendre-factored route
+    return next((k for k in range(n // 2 + 1) if k >= 200 and k * k >= 16 * n), None)
+
+
+def test_binomial_both_sides_of_cutover(monkeypatch):
+    factored = []
+    real = combinatorics._binomial_factored
+
+    def recording(n, k):
+        factored.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(combinatorics, "_binomial_factored", recording)
+    for n in (399, 400, 401, 1000, 4_000, 10_007, 100_000):
+        kc = _first_factored_k(n)
+        ks = {0, 1, n - 1, n, n // 2, (n + 1) // 2}
+        if kc is not None:
+            ks |= {kc - 2, kc - 1, kc, kc + 1, n - kc + 1, n - kc}
+        for k in sorted(ks):
+            factored.clear()
+            assert binomial(n, k) == math.comb(n, k), (n, k)
+            kk = min(k, n - k)
+            assert bool(factored) == (kc is not None and kk >= kc), (n, k)
+    assert _first_factored_k(399) is None  # C(399, 199) stays on the loop
+    assert _first_factored_k(400) == 200
+    assert _first_factored_k(100_000) == 1265
+
+
+def test_binomial_prime_and_prime_power_n():
+    # n = p or p^e puts the sieve's edge (and the top prime power) at n itself
+    for n in (401, 509, 512, 625, 729, 1024, 2187, 3125, 4096, 7919, 16_384, 19_683):
+        for k in (200, 256, 1000, n // 3, n // 2, n - 300):
+            if 0 <= k <= n:
+                assert binomial(n, k) == math.comb(n, k), (n, k)
+
+
+def test_binomial_factored_route_small_n():
+    # the public rule never sends n < 400 here; check the route itself there
+    for n in range(160):
+        for k in range(n // 2 + 1):
+            assert combinatorics._binomial_factored(n, k) == math.comb(n, k), (n, k)
+
+
+def test_binomial_large_values():
+    assert central_binomial(100_000) == math.comb(200_000, 100_000)
+    assert binomial(30_000, 7_000) == math.comb(30_000, 7_000)
+
+
+def test_binomial_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(0, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def check(nk):
+        n, k = nk
+        assert binomial(n, k) == math.comb(n, k)
+
+    check()
+
+
 def test_pascal_identity():
     for n in range(1, 65):
         for k in range(1, n):
@@ -63,6 +126,9 @@ def test_central_binomials_iterator():
         assert values[n] == central_binomial(n)
     tail = dict(central_binomials(97, 103))
     assert tail[100] == central_binomial(100)
+    # the first value comes from the factored route, the rest from the recurrence
+    for n, b in central_binomials(20_000, 20_004):
+        assert b == math.comb(2 * n, n), n
     with pytest.raises(ValueError):
         list(central_binomials(5, 4))
 

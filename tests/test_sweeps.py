@@ -120,10 +120,43 @@ def test_run_verify_uses_one_pool_per_run(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)  # so 1-CPU runners cap nothing
     run_verify(30, jobs=2)
     assert made == [(2,)]  # one pool of two workers for all eight tasks
     run_verify(30, jobs=1)
     assert made == [(2,)]
+
+
+def test_run_verify_caps_pool_at_cpu_count(monkeypatch):
+    # a recording stand-in for the pool: it forks nothing and maps in process
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    seq = [_strip_timing(r) for r in run_verify(60, jobs=1)]
+    for cpus, expected in ((2, 2), (None, 1), (64, 64)):
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+        asked.clear()
+        reports = run_verify(60, jobs=500)
+        assert asked == [expected]
+        # chunking still follows jobs, so the reports equal a sequential run's
+        assert [_strip_timing(r) for r in reports] == seq
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
+    asked.clear()
+    run_verify(2, jobs=500)  # 7 one-n tasks: the task count caps the pool
+    assert asked == [7]
 
 
 def test_order_gap_rational_verdict_matches_interval_route():
