@@ -13,9 +13,9 @@ parts cancel is decided in exact rationals and reported with width 0.
 :func:`run_verify` may partition its checks across processes by chunking the
 n-range: every check-chunk task of one run goes through a single process
 pool, and chunk reports merge by ascending n, so verdicts, counts and
-failures are identical to a sequential run.  All shared caches (Bernoulli,
-pi, exp(1/2)) are either precomputed before fan-out or rebuilt per worker,
-per their home modules' contracts.
+failures are identical to a sequential run.  The pool never exceeds
+``os.cpu_count()`` workers.  The module-level caches (Bernoulli, pi,
+exp(1/2)) are per process: a worker fills its own.
 """
 
 from __future__ import annotations
