@@ -62,6 +62,23 @@ def test_interval_validation():
         from_rational(Fraction(1, 3), 1)
 
 
+@pytest.mark.parametrize(
+    "lo,hi,expected",
+    [
+        (Dyadic(5, 0), Dyadic(5, 0), 0.0),  # exact
+        (Dyadic(0, 0), Dyadic(1, 0), float("inf")),  # zero endpoint
+        (Dyadic(-1, 0), Dyadic(0, 0), float("inf")),
+        # endpoints near 2**5000, far beyond the float range: still finite
+        (Dyadic(3, 5000), Dyadic(5, 5000), 2 / 3),
+        (Dyadic((1 << 80) + 1, 4920), Dyadic((1 << 80) + 7, 4920), 1.5 * 2.0**-78),
+        (Dyadic(-((1 << 80) + 7), 4920), Dyadic(-((1 << 80) + 1), 4920), 1.5 * 2.0**-78),
+        (Dyadic(1, -5000), Dyadic(1, 5000), float("inf")),  # ratio past the float range
+    ],
+)
+def test_rel_width_pinned(lo, hi, expected):
+    assert IntervalReal(lo, hi, 64).rel_width() == expected
+
+
 # -- field operations -------------------------------------------------------------
 
 
