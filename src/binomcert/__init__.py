@@ -9,7 +9,6 @@ from .bounds import (
     BoundName,
     BoundResult,
     SeriesCoefficients,
-    TightnessComparison,
     agievich_catalan,
     agievich_central,
     agievich_general,
@@ -22,10 +21,8 @@ from .bounds import (
     general_exponent,
     general_rs_bound,
     sasvari_pair,
-    tightness_compare,
 )
 from .combinatorics import (
-    BernoulliCache,
     bernoulli,
     binomial,
     catalan,

@@ -24,20 +24,19 @@ Families implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
 from . import interval as ivl
-from .combinatorics import bernoulli
+from .combinatorics import bernoulli, central_binomial
 from .interval import IntervalReal
 
 __all__ = [
     "BoundName",
     "BoundResult",
     "SeriesCoefficients",
-    "TightnessComparison",
     "agievich_general",
     "agievich_shifted",
     "agievich_central",
@@ -50,9 +49,7 @@ __all__ = [
     "general_exponent",
     "general_rs_bound",
     "central_ratio",
-    "tightness_compare",
     "tightness_gap",
-    "tightness_gap_derivative",
 ]
 
 MAX_SERIES_ORDER = 20  # asymptotic series; stay well inside the useful regime
@@ -92,16 +89,6 @@ class BoundResult:
     parameters: dict
     exponent: Fraction
     value: IntervalReal
-
-
-@dataclass(frozen=True)
-class TightnessComparison:
-    """Sign analysis of f(n) = 55/(72n) - 1/(192 n^3), the exponent difference
-    between the central Gaussian-form bound and the order-2 series bound."""
-
-    n: int
-    f_value: Fraction
-    verdict: str  # sasvari_tighter | agievich_tighter | equal
 
 
 @lru_cache(maxsize=None)
@@ -203,20 +190,12 @@ def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
     """Binet-route sandwich: 4^n/sqrt(pi n) * exp(-1/(8n)) <= C(2n,n) <=
     4^n/sqrt(pi n) * exp(-1/(8n) + 1/(192 n^3)).
 
-    Exponents are exactly the order-1 and order-2 truncations of the central
-    correction series, so these coincide term-for-term with
-    :func:`central_lower` (order 1) and :func:`central_upper` (order 2).
+    The order-1 and order-2 truncations of the central correction series:
+    :func:`central_lower` at order 1 and :func:`central_upper` at order 2,
+    under Sasvari's names.
     """
-    _require_positive(n)
-    lo_exp = central_exponent_coefficients(1).exponent_at(n)
-    hi_exp = central_exponent_coefficients(2).exponent_at(n)
-    scale = Fraction(4) ** n
-    lower = BoundResult(
-        BoundName.SASVARI_LOWER, {"n": n}, lo_exp, _evaluate(scale, Fraction(1), n, lo_exp, p)
-    )
-    upper = BoundResult(
-        BoundName.SASVARI_UPPER, {"n": n}, hi_exp, _evaluate(scale, Fraction(1), n, hi_exp, p)
-    )
+    lower = replace(central_lower(n, 1, p), name=BoundName.SASVARI_LOWER, parameters={"n": n})
+    upper = replace(central_upper(n, 2, p), name=BoundName.SASVARI_UPPER, parameters={"n": n})
     return lower, upper
 
 
@@ -282,40 +261,16 @@ def central_ratio(n: int, p: int = 64, binom_value: int | None = None) -> Interv
     """
     _require_positive(n)
     if binom_value is None:
-        from .combinatorics import central_binomial
-
         binom_value = central_binomial(n)
     root = ivl.sqrt(ivl.from_rational(Fraction(1), p) * ivl.pi(p) * ivl.from_int(n, p))
     return ivl.from_int(binom_value, p) * root * ivl.exact_pow2(-2 * n, p)
 
 
 def tightness_gap(x: Fraction) -> Fraction:
-    """f(x) = 23/(36x) + 1/(8x) - 1/(192x^3) = 55/(72x) - 1/(192x^3)."""
+    """f(x) = 23/(36x) + 1/(8x) - 1/(192x^3) = 55/(72x) - 1/(192x^3): the
+    Gaussian-form central exponent minus the order-2 series exponent.  The
+    bounds share the prefactor 4^n/sqrt(pi n), so f(n) > 0 exactly when the
+    series bound is the tighter one."""
     if x <= 0:
         raise ValueError("tightness_gap: x must be > 0")
     return Fraction(55, 72) / x - Fraction(1, 192) / x**3
-
-
-def tightness_gap_derivative(x: Fraction) -> Fraction:
-    """f'(x) = -55/(72x^2) + 1/(64x^4); vanishes exactly at x^2 = 9/440."""
-    if x <= 0:
-        raise ValueError("tightness_gap_derivative: x must be > 0")
-    return Fraction(-55, 72) / x**2 + Fraction(1, 64) / x**4
-
-
-def tightness_compare(n: int) -> TightnessComparison:
-    """Which of the two equal-prefactor central upper bounds is tighter at n.
-
-    The bounds share the prefactor 4^n/sqrt(pi n) and exp is monotone, so the
-    comparison is decided by the exponent difference f(n) alone -- entirely
-    rational arithmetic, no intervals.
-    """
-    _require_positive(n)
-    f = tightness_gap(Fraction(n))
-    if f > 0:
-        verdict = "sasvari_tighter"
-    elif f < 0:
-        verdict = "agievich_tighter"
-    else:
-        verdict = "equal"
-    return TightnessComparison(n, f, verdict)

@@ -5,7 +5,8 @@ Exit codes: 0 all checks proved/matched; 1 at least one failed or
 mismatched; 2 undecided results present (always for ``verify``, under
 ``--strict`` for ``table`` and ``bound``, and for ``errata``, whose evidence
 must be proved in full: it then prints one line on stderr and no payload);
-64 usage or domain error.
+64 usage or domain error; 70 internal error (any other exception, one line on
+stderr); 73 the ``--out`` file could not be written (one line on stderr).
 
 Output is deterministic: identical invocations produce byte-identical
 payloads once ``--no-timing`` drops the wall-clock fields.
@@ -21,8 +22,14 @@ import sys
 
 from . import bounds as bd
 from .errata import ErrataEntry, build_errata
-from .interval import UNDETERMINED, NeedsMorePrecision, PrecisionPolicy, render_escalating
-from .sweeps import run_verify
+from .interval import (
+    DEFAULT_POLICY,
+    UNDETERMINED,
+    NeedsMorePrecision,
+    PrecisionPolicy,
+    render_escalating,
+)
+from .sweeps import DEFAULT_ORDERS, run_verify
 from .tables import TABLE_HEADERS, TABLE_IDS, TableReport, build_table
 
 __all__ = ["main"]
@@ -31,6 +38,8 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
+EXIT_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,8 +53,12 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("md", "csv", "json"), default="md")
     common.add_argument("--out", metavar="PATH", help="write the payload to a file")
-    common.add_argument("--precision-init", type=int, default=64, metavar="BITS")
-    common.add_argument("--precision-max", type=int, default=512, metavar="BITS")
+    common.add_argument(
+        "--precision-init", type=int, default=DEFAULT_POLICY.initial, metavar="BITS"
+    )
+    common.add_argument(
+        "--precision-max", type=int, default=DEFAULT_POLICY.maximum, metavar="BITS"
+    )
     common.add_argument(
         "--strict",
         action="store_true",
@@ -85,7 +98,8 @@ def _build_parser() -> _Parser:
         type=int,
         action="append",
         metavar="J",
-        help="series order for the alternation check (repeatable; default 1 2 3 4)",
+        help="series order for the alternation check (repeatable; default "
+        f"{' '.join(map(str, DEFAULT_ORDERS))})",
     )
     p_verify.add_argument(
         "--jobs", type=int, default=1, help="partition the n-range over processes"
@@ -139,11 +153,15 @@ def _emit(args, doc, header, rows, md) -> None:
         payload = buf.getvalue()
     else:
         payload = md()
-    if args.out:
+    if not args.out:
+        sys.stdout.write(payload)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"binomcert: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(EXIT_CANTCREAT) from None
 
 
 # -- table rendering -----------------------------------------------------------
@@ -224,7 +242,7 @@ def _verify_md(rows: list[dict], cols: list[str]) -> str:
 
 
 def _cmd_verify(args) -> int:
-    orders = tuple(args.order) if args.order else (1, 2, 3, 4)
+    orders = tuple(args.order) if args.order else DEFAULT_ORDERS
     for j in orders:
         if not 1 <= j <= bd.MAX_SERIES_ORDER:
             raise ValueError(f"order {j} outside 1..{bd.MAX_SERIES_ORDER}")
@@ -352,9 +370,12 @@ def main(argv: list[str] | None = None) -> int:
     except NeedsMorePrecision as exc:
         print(f"binomcert: undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"binomcert: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"binomcert: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

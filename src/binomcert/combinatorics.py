@@ -17,7 +17,6 @@ __all__ = [
     "central_binomial",
     "central_binomials",
     "catalan",
-    "BernoulliCache",
     "bernoulli",
 ]
 
@@ -128,47 +127,17 @@ def catalan(n: int) -> int:
     return q
 
 
-class BernoulliCache:
-    """Monotonically growing cache of even-index Bernoulli numbers.
+_EVEN_BERNOULLI: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...; see bernoulli()
+
+
+def bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m as an exact Fraction (even m, plus B_0 and B_1).
 
     Values follow the generating function t/(e^t - 1), i.e. B_1 = -1/2 and
-    B_2 = 1/6.  Entries are never mutated once computed.
-    """
-
-    def __init__(self) -> None:
-        self._even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
-
-    @property
-    def high_water(self) -> int:
-        """Largest even index m for which B_m is already cached."""
-        return 2 * (len(self._even) - 1)
-
-    def extend_to(self, m: int) -> None:
-        """Ensure B_0 .. B_m are cached (m even, >= 0).
-
-        Uses the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 for
-        n >= 1, restricted to even k plus the lone B_1 = -1/2 term.
-        """
-        if m % 2 != 0 or m < 0:
-            raise ValueError("extend_to: m must be even and >= 0")
-        while 2 * (len(self._even) - 1) < m:
-            j = len(self._even)  # computing B_{2j}
-            n = 2 * j
-            acc = Fraction(n + 1, -2)  # k = 1 term: C(n+1, 1) * B_1
-            for i in range(j):
-                acc += binomial(n + 1, 2 * i) * self._even[i]
-            self._even.append(-acc / (n + 1))
-
-    def get(self, m: int) -> Fraction:
-        self.extend_to(m)
-        return self._even[m // 2]
-
-
-_SHARED_CACHE = BernoulliCache()
-
-
-def bernoulli(m: int, cache: BernoulliCache | None = None) -> Fraction:
-    """Bernoulli number B_m as an exact Fraction (even m, plus B_0 and B_1).
+    B_2 = 1/6.  Even-index values are cached per process: a request for B_m
+    first extends the cache to m by the defining recurrence
+    sum_{k=0}^{n} C(n+1, k) B_k = 0 (n >= 1), restricted to even k plus the
+    lone B_1 = -1/2 term, and entries are never mutated once computed.
 
     Odd m >= 3 is rejected rather than returning 0: those values are never
     meaningful inputs here and a request for one indicates a caller bug.
@@ -179,4 +148,11 @@ def bernoulli(m: int, cache: BernoulliCache | None = None) -> Fraction:
         return Fraction(-1, 2)
     if m % 2 != 0:
         raise ValueError("bernoulli: odd index %d (all zero); not served" % m)
-    return (cache or _SHARED_CACHE).get(m)
+    even = _EVEN_BERNOULLI
+    while len(even) <= m // 2:
+        n = 2 * len(even)  # computing B_n
+        acc = Fraction(n + 1, -2)  # k = 1 term: C(n+1, 1) * B_1
+        for i, b in enumerate(even):
+            acc += binomial(n + 1, 2 * i) * b
+        even.append(-acc / (n + 1))
+    return even[m // 2]

@@ -22,9 +22,7 @@ from .interval import (
     render_escalating,
 )
 
-__all__ = ["ErrataEntry", "CLASSIFICATIONS", "build_errata"]
-
-CLASSIFICATIONS = ("sign", "dropped_digit", "coefficient", "formula")
+__all__ = ["ErrataEntry", "build_errata"]
 
 
 @dataclass(frozen=True)
@@ -32,7 +30,7 @@ class ErrataEntry:
     location: str
     paper_value: str
     computed_value: str
-    classification: str
+    classification: str  # sign | dropped_digit | coefficient | formula
     evidence: str
 
 

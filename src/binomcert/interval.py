@@ -126,21 +126,13 @@ def _round_up(man: int, exp: int, p: int) -> Dyadic:
     return Dyadic(*_norm(-((-man) >> drop), exp + drop))
 
 
-def _div_down(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
-    """Dyadic <= a/b with about p significant bits (b != 0)."""
+def _div(a: Dyadic, b: Dyadic, p: int, up: bool) -> Dyadic:
+    """Dyadic <= a/b, or >= a/b when ``up``, with about p significant bits (b != 0)."""
     shift = p + 2 + max(0, b.man.bit_length() - a.man.bit_length() + 1)
     num, den = a.man << shift, b.man
     if den < 0:
         num, den = -num, -den
-    return Dyadic(*_norm(num // den, a.exp - b.exp - shift))
-
-
-def _div_up(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
-    shift = p + 2 + max(0, b.man.bit_length() - a.man.bit_length() + 1)
-    num, den = a.man << shift, b.man
-    if den < 0:
-        num, den = -num, -den
-    return Dyadic(*_norm(-((-num) // den), a.exp - b.exp - shift))
+    return Dyadic(*_norm(-((-num) // den) if up else num // den, a.exp - b.exp - shift))
 
 
 class TriState(str, Enum):
@@ -180,27 +172,14 @@ class IntervalReal:
         return Dyadic(*_norm(*_sub(self.hi, self.lo)))
 
     def rel_width(self) -> float:
-        """Width divided by the magnitude of the enclosure, as a float.
+        """Width divided by the smaller endpoint magnitude, as a float.
 
         Computed from mantissa ratio and exponent difference so it stays
         finite even when the endpoints themselves overflow floats.
         """
-        w = self.width()
-        if w.man == 0:
-            return 0.0
         a = Dyadic(abs(self.lo.man), self.lo.exp)
         b = Dyadic(abs(self.hi.man), self.hi.exp)
-        d = a if _cmp(a, b) <= 0 else b
-        if d.man == 0:
-            return float("inf")
-        sw = max(0, w.man.bit_length() - 53)
-        sd = max(0, d.man.bit_length() - 53)
-        ratio = float(w.man >> sw) / float(d.man >> sd)
-        e = (w.exp + sw) - (d.exp + sd)
-        try:
-            return _math.ldexp(ratio, e)
-        except OverflowError:
-            return float("inf")
+        return _dyadic_ratio(self.width(), a if _cmp(a, b) <= 0 else b)
 
     def contains(self, q: Fraction | int) -> bool:
         q = Fraction(q)
@@ -271,15 +250,9 @@ class IntervalReal:
             a, b = self.lo, self.hi
             if other.lo.man < 0:
                 a, b = b, a
-            return IntervalReal(_div_down(a, other.lo, p), _div_up(b, other.lo, p), p)
-        los = [
-            _div_down(a, b, p)
-            for a in (self.lo, self.hi)
-            for b in (other.lo, other.hi)
-        ]
-        his = [
-            _div_up(a, b, p) for a in (self.lo, self.hi) for b in (other.lo, other.hi)
-        ]
+            return IntervalReal(_div(a, other.lo, p, False), _div(b, other.lo, p, True), p)
+        los = [_div(a, b, p, False) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        his = [_div(a, b, p, True) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
         lo, hi = los[0], his[0]
         for c in los[1:]:
             if _cmp(c, lo) < 0:
@@ -365,25 +338,18 @@ def certainly_less(a: IntervalReal, b: IntervalReal) -> TriState:
 # -- square root -------------------------------------------------------------
 
 
-def _sqrt_down(d: Dyadic, p: int) -> Dyadic:
+def _sqrt(d: Dyadic, p: int, up: bool) -> Dyadic:
+    """Dyadic <= sqrt(d), or >= sqrt(d) when ``up``, with about p + 2 bits."""
     if d.man == 0:
         return Dyadic(0, 0)
-    lead = d.man.bit_length() + d.exp
-    f = lead // 2 - (p + 2)
+    f = (d.man.bit_length() + d.exp) // 2 - (p + 2)
     shift = d.exp - 2 * f
-    n = d.man << shift if shift >= 0 else d.man >> -shift  # floor
-    return Dyadic(*_norm(isqrt(n), f))
-
-
-def _sqrt_up(d: Dyadic, p: int) -> Dyadic:
-    if d.man == 0:
-        return Dyadic(0, 0)
-    lead = d.man.bit_length() + d.exp
-    f = lead // 2 - (p + 2)
-    shift = d.exp - 2 * f
-    n = d.man << shift if shift >= 0 else -((-d.man) >> -shift)  # ceil
+    if shift >= 0:
+        n = d.man << shift
+    else:
+        n = -((-d.man) >> -shift) if up else d.man >> -shift  # ceil or floor
     r = isqrt(n)
-    if r * r < n:
+    if up and r * r < n:
         r += 1
     return Dyadic(*_norm(r, f))
 
@@ -400,7 +366,7 @@ def sqrt(a: IntervalReal) -> IntervalReal:
     p = a.prec
     # endpoints come back with ~p+2 mantissa bits; requantizing to p would
     # only widen, so keep them (prec still governs downstream rounding)
-    return IntervalReal(_sqrt_down(a.lo, p), _sqrt_up(a.hi, p), p)
+    return IntervalReal(_sqrt(a.lo, p, False), _sqrt(a.hi, p, True), p)
 
 
 # -- pi ----------------------------------------------------------------------

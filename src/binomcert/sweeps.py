@@ -24,6 +24,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import pairwise
 
 from . import bounds as bd
@@ -40,9 +41,11 @@ __all__ = [
     "general_r_sweep",
     "run_verify",
     "VERIFY_CHECKS",
+    "DEFAULT_ORDERS",
 ]
 
 FAILURE_CAP = 20  # keep reports bounded; counts stay exact
+DEFAULT_ORDERS = (1, 2, 3, 4)  # series orders of the alternation check
 
 
 @dataclass
@@ -141,7 +144,7 @@ def dominance_sweep(
 
     def decisions():
         for n in range(n_lo, n_hi + 1):
-            yield n, _exact(bd.tightness_compare(n).verdict == "sasvari_tighter"), "f(n) <= 0"
+            yield n, _exact(bd.tightness_gap(Fraction(n)) > 0), "f(n) <= 0"
         for n in DOMINANCE_SPOT_CHECKS:
             if n_lo <= n <= n_hi:
                 pair = lambda p: (bd.sasvari_pair(n, p)[1].value, bd.agievich_central(n, p).value)
@@ -153,7 +156,7 @@ def dominance_sweep(
 def alternation_sweep(
     n_lo: int,
     n_hi: int,
-    orders: tuple[int, ...] = (1, 2, 3, 4),
+    orders: tuple[int, ...] = DEFAULT_ORDERS,
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> SweepReport:
     """Odd-order truncations below the exact value, even-order above."""
@@ -243,7 +246,7 @@ def _run_task(task) -> SweepReport:
 
 def run_verify(
     max_n: int,
-    orders: tuple[int, ...] = (1, 2, 3, 4),
+    orders: tuple[int, ...] = DEFAULT_ORDERS,
     policy: PrecisionPolicy = DEFAULT_POLICY,
     jobs: int = 1,
 ) -> list[SweepReport]:

@@ -261,38 +261,17 @@ def test_central_ratio_accepts_precomputed_binomial():
 # -- tightness comparison -------------------------------------------------------------
 
 
-def test_tightness_at_one():
-    cmp1 = bd.tightness_compare(1)
-    assert cmp1.f_value == Fraction(55, 72) - Fraction(1, 192) == Fraction(437, 576)
-    assert cmp1.verdict == "sasvari_tighter"
-
-
-def test_tightness_at_ten():
-    assert bd.tightness_compare(10).f_value > 0
-    assert bd.tightness_compare(10).verdict == "sasvari_tighter"
-
-
 def test_tightness_agrees_with_interval_route():
     for n in (1, 10):
-        assert bd.tightness_compare(n).verdict == "sasvari_tighter"
+        assert bd.tightness_gap(Fraction(n)) > 0
         upper_series = bd.sasvari_pair(n, 64)[1].value
         upper_gauss = bd.agievich_central(n, 64).value
         assert certainly_less(upper_series, upper_gauss) is TriState.YES
 
 
-def test_gap_derivative_sign_flips_at_critical_point():
-    # critical point at x^2 = 9/440: increasing below, decreasing above
-    critical_sq = Fraction(9, 440)
-    for x in (Fraction(1, 10), Fraction(14, 100), Fraction(1, 7)):
-        assert x**2 < critical_sq
-        assert bd.tightness_gap_derivative(x) > 0, x
-    for x in (Fraction(15, 100), Fraction(1, 2), Fraction(1), Fraction(100)):
-        assert x**2 > critical_sq
-        assert bd.tightness_gap_derivative(x) < 0, x
-
-
 def test_gap_positive_and_vanishing():
-    assert bd.tightness_gap(Fraction(1)) == Fraction(437, 576)
+    assert bd.tightness_gap(Fraction(1)) == Fraction(55, 72) - Fraction(1, 192) == Fraction(437, 576)
+    assert bd.tightness_gap(Fraction(10)) == Fraction(55, 720) - Fraction(1, 192000) > 0
     assert bd.tightness_gap(Fraction(10**6)) > 0
     with pytest.raises(ValueError):
         bd.tightness_gap(Fraction(0))

@@ -81,6 +81,8 @@ def _cases() -> dict[str, str]:
             "usage_bound_digits5000.md": "bound 10 SasvariUpper --digits 5000",
             "usage_init_over_max.md": "table table1 --precision-init 128 --precision-max 64",
             "usage_init_below_2.md": "bound 10 SasvariUpper --precision-init 1",
+            # an --out file that cannot be created is not a failed check
+            "out_unwritable.md": "bound 5 SasvariUpper --out /nonexistent_dir/x.md",
         }
     )
     return cases
@@ -135,6 +137,17 @@ def test_verify_jobs_do_not_change_output():
 def test_argparse_errors_are_usage_errors():
     for argv in (["table", "table9"], ["bound", "5", "NoSuchBound"], ["verify"], []):
         assert _run(argv)[0] == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), ZeroDivisionError("boom")])
+def test_internal_errors_exit_70(monkeypatch, error):
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(cli.bd, "agievich_central", broken)
+    code, out, err = _run(CASES["bound_AgievichCentral.md"].split())
+    assert (code, out) == (cli.EXIT_SOFTWARE, "")
+    assert err == f"binomcert: internal error: {type(error).__name__}: boom\n"
 
 
 def test_module_entry_point_passes_the_exit_code():

@@ -5,7 +5,6 @@ import pytest
 
 from binomcert import combinatorics
 from binomcert.combinatorics import (
-    BernoulliCache,
     bernoulli,
     binomial,
     catalan,
@@ -184,12 +183,8 @@ def test_bernoulli_sign_alternation():
 
 
 def test_cache_extension_is_monotone():
-    cache = BernoulliCache()
-    cache.extend_to(10)
-    snapshot = [bernoulli(m, cache) for m in range(0, 11, 2)]
-    assert cache.high_water == 10
-    cache.extend_to(30)
-    assert cache.high_water == 30
-    assert [bernoulli(m, cache) for m in range(0, 11, 2)] == snapshot
+    snapshot = [bernoulli(m) for m in range(0, 11, 2)]
+    bernoulli(60)
+    assert [bernoulli(m) for m in range(0, 11, 2)] == snapshot
     with pytest.raises(ValueError):
-        cache.extend_to(7)
+        bernoulli(7)
