@@ -261,6 +261,18 @@ def test_central_ratio_accepts_precomputed_binomial():
 # -- tightness comparison -------------------------------------------------------------
 
 
+def test_tightness_at_one():
+    assert bd.tightness_gap(Fraction(1)) == Fraction(55, 72) - Fraction(1, 192) == Fraction(437, 576)
+    upper_series = bd.sasvari_pair(1, 64)[1].value
+    assert certainly_less(upper_series, bd.agievich_central(1, 64).value) is TriState.YES
+
+
+def test_tightness_at_ten():
+    assert bd.tightness_gap(Fraction(10)) == Fraction(55, 720) - Fraction(1, 192000) > 0
+    upper_series = bd.sasvari_pair(10, 64)[1].value
+    assert certainly_less(upper_series, bd.agievich_central(10, 64).value) is TriState.YES
+
+
 def test_tightness_agrees_with_interval_route():
     for n in (1, 10):
         assert bd.tightness_gap(Fraction(n)) > 0
@@ -270,8 +282,7 @@ def test_tightness_agrees_with_interval_route():
 
 
 def test_gap_positive_and_vanishing():
-    assert bd.tightness_gap(Fraction(1)) == Fraction(55, 72) - Fraction(1, 192) == Fraction(437, 576)
-    assert bd.tightness_gap(Fraction(10)) == Fraction(55, 720) - Fraction(1, 192000) > 0
+    assert bd.tightness_gap(Fraction(1)) == Fraction(437, 576)
     assert bd.tightness_gap(Fraction(10**6)) > 0
     with pytest.raises(ValueError):
         bd.tightness_gap(Fraction(0))
