@@ -9,10 +9,13 @@ Dyadic endpoints keep outward rounding a pair of bit shifts, where rational
 endpoints would pay a gcd normalization per operation.
 
 Width contract: each primitive rounds each endpoint outward by at most one
-unit in the last place, and sqrt/exp/pi carry explicit truncation bounds,
-so for the compositions used in this package (a few multiplications, one
-sqrt, one exp) the relative width at working precision p stays below
-2**(-p + 8).  The test suite checks this slack empirically.
+unit in the last place, and sqrt, exp and pi carry explicit truncation
+bounds (exp's is proved in its docstring), so for the compositions used in
+this package (a few multiplications, one sqrt, one exp of an argument of
+modest size) the relative width at working precision p stays below
+2**(-p + 8).  exp of a large argument a costs about log2 |2a| - 14 more
+bits once |a| passes 2**13 (see :func:`exp`).  The test suite checks this
+slack empirically.
 
 Shared state is limited to per-precision caches of pi and exp(1/2), whose
 entries are immutable once stored.
@@ -24,6 +27,7 @@ import math as _math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterator, NamedTuple
 
@@ -44,6 +48,7 @@ __all__ = [
     "render_escalating",
     "round_significant",
     "MAX_DIGITS",
+    "MAX_PRECISION",
     "UNDETERMINED",
 ]
 
@@ -432,67 +437,34 @@ def pi(p: int, _formula: tuple = _MACHIN) -> IntervalReal:
 
 # -- exponential ---------------------------------------------------------------
 
-_exp_half_cache: dict[int, IntervalReal] = {}
+_EXP_GUARD_BITS = 30  # fixed-point bits beyond the precision asked of _exp_endpoint
+_HALF = Dyadic(1, -1)
 
 
-def _pow2_ceil_log(d: Dyadic) -> int:
-    """Smallest j with |d| <= 2**j (d != 0)."""
-    m = abs(d.man)
-    j = m.bit_length() + d.exp
-    if m & (m - 1) == 0:  # exact power of two
-        j -= 1
-    return j
+def _exp_endpoint(x: Dyadic, p: int, up: bool) -> Dyadic:
+    """Dyadic <= exp(x), or >= exp(x) when ``up``, with p bits, for |x| <= 1/2.
 
-
-def _taylor_terms_needed(j: int, p: int) -> int:
-    """Smallest N with 2 * (2**-j)^(N+1) / (N+1)! <= 2**-(p+4), for j >= 1."""
-    fact = 1
-    n = 0
-    while True:
-        n += 1
-        fact *= n + 1  # (N+1)! with N = n
-        need = p + 5 - j * (n + 1)
-        if need <= 0 or fact >= (1 << need):
-            return n
-
-
-def _exp_taylor(r: IntervalReal, p: int) -> IntervalReal:
-    """exp on a narrow interval with |r| <= 1/2, by Taylor plus tail bound.
-
-    The partial sum is evaluated in interval arithmetic; the remainder after
-    N terms is bounded by |r|^(N+1)/(N+1)! * 1/(1-|r|) <= 2*(2**-j)^(N+1)/(N+1)!
-    once |r| <= 2**-j <= 1/2, and that bound is folded in as +-2**-(p+4).
+    One Taylor sum in plain integers, in units of 2**-(p + 30); the error
+    bound is proved in :func:`exp`.
     """
-    wp = p + 16
-    abs_lo = Dyadic(abs(r.lo.man), r.lo.exp)
-    abs_hi = Dyadic(abs(r.hi.man), r.hi.exp)
-    bigger = abs_lo if _cmp(abs_lo, abs_hi) > 0 else abs_hi
-    if bigger.man == 0:
-        one = Dyadic(1, 0)
-        return IntervalReal(one, one, p)
-    j = -_pow2_ceil_log(bigger)
-    if j < 1:
-        raise ValueError("_exp_taylor: argument not reduced below 1/2")
-    n_terms = _taylor_terms_needed(j, p)
-    one = from_int(1, wp)
-    rr = IntervalReal(r.lo, r.hi, wp)
-    term = one
-    acc = one
-    for k in range(1, n_terms + 1):
-        term = term * rr / from_int(k, wp)
-        acc = acc + term
-    tail = Dyadic(1, -(p + 4))
-    return IntervalReal(
-        _round_down(*_sub(acc.lo, tail), p), _round_up(*_add(acc.hi, tail), p), p
-    )
+    if x.man == 0:
+        return Dyadic(1, 0)
+    w = p + _EXP_GUARD_BITS
+    # ceil or floor of x * 2**w; x.exp < 0 since 0 < |x| <= 1/2
+    big_x = -((-x.man << w) >> -x.exp) if up else (x.man << w) >> -x.exp
+    acc = term = 1 << w
+    k = 0
+    while term:
+        k += 1
+        term = ((term * big_x) >> w) // k  # floor(term * X / (k * 2**w))
+        acc += term
+    slack = 2 * k + 2
+    return _round_up(acc + slack, -w, p) if up else _round_down(acc - slack, -w, p)
 
 
+@lru_cache(maxsize=None)
 def _exp_half(p: int) -> IntervalReal:
-    got = _exp_half_cache.get(p)
-    if got is None:
-        h = Dyadic(1, -1)
-        got = _exp_half_cache[p] = _exp_taylor(IntervalReal(h, h, p + 8), p + 8)
-    return got
+    return IntervalReal(_exp_endpoint(_HALF, p, False), _exp_endpoint(_HALF, p, True), p)
 
 
 def _pow_pos(base: IntervalReal, k: int, p: int) -> IntervalReal:
@@ -513,48 +485,69 @@ def _round_to_int(d: Dyadic) -> int:
 
 
 def exp(a: IntervalReal) -> IntervalReal:
-    """Containment-sound exponential.
+    """Containment-sound exponential, for an argument of any size.
 
-    Argument reduction writes a = k*(1/2) + r with |r| <= 1/4 against a cached
-    enclosure of exp(1/2), avoiding any need for a certified log 2; exp(r)
-    comes from the bounded Taylor sum.  Sound for |a| up to far beyond the
-    |a| <= 64 this package ever evaluates.
+    Argument reduction writes a = k/2 + r, with k the integer nearest to
+    a.lo + a.hi, against a cached enclosure of exp(1/2), so no certified
+    log 2 is needed.  When some |r| exceeds 1/2 the input is wide, and the
+    result is the hull of the images of its two endpoints (exp is
+    monotone).  Otherwise each endpoint of exp([r_lo, r_hi]) is one
+    fixed-point Taylor sum (Brent & Zimmermann, *Modern Computer
+    Arithmetic*, ch. 4):
+
+    *Claim.* For |x| <= 1/2, :func:`_exp_endpoint` returns a dyadic below
+    exp(x), or above it when ``up``.
+
+    *Proof.* Let w = p + 30 and X = floor(x * 2**w), or the ceiling when
+    ``up``; then xi = X / 2**w has |xi| <= 1/2, and xi <= x (xi >= x), so by
+    monotonicity it suffices to bound exp(xi) on the same side.  Write
+    T_j = 2**w * xi**j / j! for the exact scaled terms and t_j for the
+    computed ones: t_0 = T_0 = 2**w and t_j = floor(t_(j-1) * X / (j 2**w)).
+    The error e_j = t_j - T_j then obeys e_j = e_(j-1) * xi / j - f_j with
+    0 <= f_j < 1, so |e_j| < |e_(j-1)| / 2 + 1, and |e_j| < 2 for all j by
+    induction from e_0 = 0.  The loop stops at the first k with t_k = 0.
+    It exists: an integer |t_j| >= 2 shrinks, since |t_j| < |t_(j-1)| / 2 + 1,
+    and t_j = 1 or -1 is followed by 0, or by -1 and then 0.  There
+    |T_k| = |e_k| < 2, and |T_(j+1)| <= |T_j| / 2 for every j, so the
+    tail sum over j >= k of |T_j| is below 4.  The sum of t_0..t_k thus
+    differs from 2**w * exp(xi) by less than 2(k - 1) + 4 = 2k + 2 units.
+    Taking off (adding) 2k + 2 units and rounding down (up) to p bits gives
+    the endpoint.  QED
+
+    The core exp(r) is taken at p + 8 bits and exp(1/2) at p + 16, so both
+    are far narrower than the final outward rounding to p bits.  The
+    enclosure is sound for any |a|.  Raising exp(1/2) to the k-th power
+    costs about log2 |k| - 14 bits of relative width once |k| passes 2**14:
+    exp(-1.8e6), the exponent of ``AgievichShifted`` at n = 5, k = 3000,
+    comes out 2**-56.7 wide at p = 64.
     """
     p = a.prec
     k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))  # nearest int to 2*mid
     half_k = Dyadic(k, -1)
-    r = IntervalReal(
-        _round_down(*_sub(a.lo, half_k), p + 16),
-        _round_up(*_sub(a.hi, half_k), p + 16),
-        p + 16,
-    )
-    rmax = max(abs(r.lo.as_fraction()), abs(r.hi.as_fraction()))
-    if rmax > Fraction(1, 2):
+    r_lo = _round_down(*_sub(a.lo, half_k), p + 16)
+    r_hi = _round_up(*_sub(a.hi, half_k), p + 16)
+    if _cmp(r_lo, Dyadic(-1, -1)) < 0 or _cmp(r_hi, _HALF) > 0:
         # wide input: exp is monotone, take the hull of the endpoint images
-        lo_iv = IntervalReal(a.lo, a.lo, p)
-        hi_iv = IntervalReal(a.hi, a.hi, p)
-        return exp(lo_iv).hull(exp(hi_iv))
-    core = _exp_taylor(r, p + 8)
-    if k == 0:
-        scaled = core
-    else:
-        half = _exp_half(p + 8)
-        powed = _pow_pos(half, abs(k), p + 8)
-        if k > 0:
-            scaled = core * powed
-        else:
-            scaled = core / powed
+        return exp(IntervalReal(a.lo, a.lo, p)).hull(exp(IntervalReal(a.hi, a.hi, p)))
+    scaled = IntervalReal(_exp_endpoint(r_lo, p + 8, False), _exp_endpoint(r_hi, p + 8, True), p + 8)
+    if k:
+        powed = _pow_pos(_exp_half(p + 16), abs(k), p + 8)
+        scaled = scaled * powed if k > 0 else scaled / powed
     return IntervalReal(_round_down(*scaled.lo, p), _round_up(*scaled.hi, p), p)
 
 
 # -- precision policy ----------------------------------------------------------
 
 
+MAX_PRECISION = 16384  # bits: first power of two above the ~14,300 that MAX_DIGITS digits need
+
+
 @dataclass(frozen=True)
 class PrecisionPolicy:
     """Escalation schedule: start at ``initial`` bits, double until
     ``maximum``; a comparison still undecided at ``maximum`` is reported as
-    undecided, never guessed."""
+    undecided, never guessed.  ``maximum`` may not exceed
+    :data:`MAX_PRECISION`, so every schedule ends in bounded time."""
 
     initial: int = 64
     maximum: int = 512
@@ -562,6 +555,10 @@ class PrecisionPolicy:
     def __post_init__(self) -> None:
         if self.initial < 2 or self.initial > self.maximum:
             raise ValueError("PrecisionPolicy: need 2 <= initial <= maximum")
+        if self.maximum > MAX_PRECISION:
+            raise ValueError(
+                f"PrecisionPolicy: maximum must be <= {MAX_PRECISION} bits (MAX_PRECISION)"
+            )
 
     def precisions(self) -> Iterator[int]:
         p = self.initial

@@ -1,13 +1,30 @@
 """Shared oracle helpers for the test suite.
 
-Everything here is deliberately independent of the package's own arithmetic:
+The oracles are deliberately independent of the package's own arithmetic:
 mpmath for transcendental references, Akiyama-Tanigawa for Bernoulli numbers,
-``math.comb``/``Fraction`` for exact values.
+``math.comb``/``Fraction`` for exact values.  The one exception is
+:func:`reference_exp`, the slow route that ``interval.exp``'s fixed-point
+Taylor sums replaced: it runs the Taylor sum in the package's interval
+arithmetic, so a test can check that the fast path agrees with it.
 """
 
 from fractions import Fraction
 
 import mpmath
+
+from binomcert.interval import (
+    Dyadic,
+    IntervalReal,
+    _add,
+    _cmp,
+    _norm,
+    _pow_pos,
+    _round_down,
+    _round_to_int,
+    _round_up,
+    _sub,
+    from_int,
+)
 
 ORACLE_BITS = 400
 
@@ -48,3 +65,81 @@ def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
             row[j - 1] = j * (row[j - 1] - row[j])
         out.append(row[0])
     return out
+
+
+# -- reference exp: Taylor sums in interval arithmetic ---------------------------
+
+
+def _pow2_ceil_log(d: Dyadic) -> int:
+    """Smallest j with |d| <= 2**j (d != 0)."""
+    m = abs(d.man)
+    j = m.bit_length() + d.exp
+    if m & (m - 1) == 0:  # exact power of two
+        j -= 1
+    return j
+
+
+def _taylor_terms_needed(j: int, p: int) -> int:
+    """Smallest N with 2 * (2**-j)^(N+1) / (N+1)! <= 2**-(p+4), for j >= 1."""
+    fact = 1
+    n = 0
+    while True:
+        n += 1
+        fact *= n + 1  # (N+1)! with N = n
+        need = p + 5 - j * (n + 1)
+        if need <= 0 or fact >= (1 << need):
+            return n
+
+
+def _exp_taylor(r: IntervalReal, p: int) -> IntervalReal:
+    """exp on a narrow interval with |r| <= 1/2, by Taylor plus tail bound.
+
+    The partial sum is evaluated in interval arithmetic; the remainder after
+    N terms is bounded by |r|^(N+1)/(N+1)! * 1/(1-|r|) <= 2*(2**-j)^(N+1)/(N+1)!
+    once |r| <= 2**-j <= 1/2, and that bound is folded in as +-2**-(p+4).
+    """
+    wp = p + 16
+    abs_lo = Dyadic(abs(r.lo.man), r.lo.exp)
+    abs_hi = Dyadic(abs(r.hi.man), r.hi.exp)
+    bigger = abs_lo if _cmp(abs_lo, abs_hi) > 0 else abs_hi
+    if bigger.man == 0:
+        one = Dyadic(1, 0)
+        return IntervalReal(one, one, p)
+    j = -_pow2_ceil_log(bigger)
+    if j < 1:
+        raise ValueError("_exp_taylor: argument not reduced below 1/2")
+    n_terms = _taylor_terms_needed(j, p)
+    one = from_int(1, wp)
+    rr = IntervalReal(r.lo, r.hi, wp)
+    term = one
+    acc = one
+    for k in range(1, n_terms + 1):
+        term = term * rr / from_int(k, wp)
+        acc = acc + term
+    tail = Dyadic(1, -(p + 4))
+    return IntervalReal(
+        _round_down(*_sub(acc.lo, tail), p), _round_up(*_add(acc.hi, tail), p), p
+    )
+
+
+def reference_exp(a: IntervalReal) -> IntervalReal:
+    """``interval.exp`` on a narrow input, with its core exp(r) and its
+    exp(1/2) from :func:`_exp_taylor`: the same argument reduction and the
+    same roundings as the fast path."""
+    p = a.prec
+    k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))
+    half_k = Dyadic(k, -1)
+    r = IntervalReal(
+        _round_down(*_sub(a.lo, half_k), p + 16),
+        _round_up(*_sub(a.hi, half_k), p + 16),
+        p + 16,
+    )
+    core = _exp_taylor(r, p + 8)
+    if k == 0:
+        scaled = core
+    else:
+        h = Dyadic(1, -1)
+        half = _exp_taylor(IntervalReal(h, h, p + 16), p + 16)
+        powed = _pow_pos(half, abs(k), p + 8)
+        scaled = core * powed if k > 0 else core / powed
+    return IntervalReal(_round_down(*scaled.lo, p), _round_up(*scaled.hi, p), p)

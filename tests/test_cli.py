@@ -81,6 +81,9 @@ def _cases() -> dict[str, str]:
             "usage_bound_digits5000.md": "bound 10 SasvariUpper --digits 5000",
             "usage_init_over_max.md": "table table1 --precision-init 128 --precision-max 64",
             "usage_init_below_2.md": "bound 10 SasvariUpper --precision-init 1",
+            "usage_precision_over_cap.md": (
+                "bound 5 SasvariUpper --precision-init 99999 --precision-max 100000"
+            ),
             # an --out file that cannot be created is not a failed check
             "out_unwritable.md": "bound 5 SasvariUpper --out /nonexistent_dir/x.md",
         }

@@ -8,6 +8,7 @@ from binomcert.interval import (
     Dyadic,
     IntervalReal,
     MAX_DIGITS,
+    MAX_PRECISION,
     NeedsMorePrecision,
     PrecisionPolicy,
     TriState,
@@ -23,7 +24,9 @@ from binomcert.interval import (
     sqrt,
 )
 from binomcert.interval import _HUTTON  # second, structurally different pi series
-from helpers import assert_encloses
+from binomcert.interval import _exp_endpoint
+from binomcert.bounds import central_exponent_coefficients
+from helpers import assert_encloses, mpf_to_fraction, reference_exp
 
 
 def frac(iv_dyadic: Dyadic) -> Fraction:
@@ -225,6 +228,81 @@ def test_exp_wide_interval_hull():
     assert_encloses(iv, mpmath.exp(3))
 
 
+def _exp_bracket(q: Fraction, bits: int = 3000) -> tuple[Fraction, Fraction]:
+    """Rationals lo < exp(q) < hi from mpmath at ``bits`` bits."""
+    with mpmath.workprec(bits):
+        v = mpf_to_fraction(mpmath.exp(mpmath.mpf(q.numerator) / q.denominator))
+    eps = v / 2 ** (bits - 10)
+    return v - eps, v + eps
+
+
+def test_exp_endpoint_brackets_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 700).flatmap(
+            lambda e: st.tuples(st.integers(-(2**e // 2), 2**e // 2), st.just(-e))
+        ),
+        st.integers(2, 600),
+        st.booleans(),
+    )
+    def check(man_exp, p, up):
+        x = Dyadic(*man_exp)  # |x| <= 1/2
+        lo, hi = _exp_bracket(x.as_fraction())
+        got = _exp_endpoint(x, p, up)
+        assert frac(got) >= lo if up else frac(got) <= hi
+        assert abs(got.man).bit_length() <= p
+
+    check()
+
+
+def test_exp_brackets_oracle_with_reduction():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        st.fractions(min_value=-200, max_value=200, max_denominator=10**12),
+        st.integers(2, 600),
+        st.integers(0, 8),
+    )
+    def check(q, p, widen):
+        # from_rational at p - widen gives inputs up to 2**widen ulps wide,
+        # some past the width that sends exp to its endpoint hull
+        a = from_rational(q, max(2, p - widen))
+        a = IntervalReal(a.lo, a.hi, p)
+        lo, hi = _exp_bracket(q)
+        iv = exp(a)
+        assert frac(iv.lo) <= hi and lo <= frac(iv.hi)
+        assert iv.lo.man > 0
+
+    check()
+
+
+def test_exp_wide_hull_brackets_both_endpoints():
+    for lo_q, hi_q in ((-200, 200), (-3, Fraction(-1, 4)), (Fraction(1, 3), 7)):
+        a = from_rational(Fraction(lo_q), 64).hull(from_rational(Fraction(hi_q), 64))
+        iv = exp(a)
+        assert frac(iv.lo) <= _exp_bracket(Fraction(lo_q))[1]
+        assert _exp_bracket(Fraction(hi_q))[0] <= frac(iv.hi)
+
+
+def test_exp_agrees_with_reference_route():
+    """The fixed-point route lies inside the interval Taylor route and is
+    never wider, for the order-1..4 series exponents at every n in 1..3000;
+    each n meets all four precisions across its four orders."""
+    precisions = (64, 128, 256, 512)
+    for order in range(1, 5):
+        coeffs = central_exponent_coefficients(order)
+        for n in range(1, 3001):
+            p = precisions[(n + order) % 4]
+            a = from_rational(coeffs.exponent_at(n), p)
+            fast, slow = exp(a), reference_exp(a)
+            assert frac(slow.lo) <= frac(fast.lo) <= frac(fast.hi) <= frac(slow.hi), (n, order, p)
+
+
 # -- pi ---------------------------------------------------------------------------
 
 
@@ -390,3 +468,9 @@ def test_precision_policy():
     assert list(policy.precisions()) == [64, 128, 256, 512]
     with pytest.raises(ValueError):
         PrecisionPolicy(64, 32)
+
+
+def test_precision_policy_cap():
+    assert list(PrecisionPolicy(MAX_PRECISION, MAX_PRECISION).precisions()) == [MAX_PRECISION]
+    with pytest.raises(ValueError, match=str(MAX_PRECISION)):
+        PrecisionPolicy(64, MAX_PRECISION + 1)
