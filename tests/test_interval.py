@@ -26,7 +26,7 @@ from binomcert.interval import (
 from binomcert.interval import _HUTTON  # second, structurally different pi series
 from binomcert.interval import _exp_endpoint
 from binomcert.bounds import central_exponent_coefficients
-from helpers import assert_encloses, mpf_to_fraction, reference_exp
+from helpers import assert_encloses, oracle_bracket, reference_exp
 
 
 def frac(iv_dyadic: Dyadic) -> Fraction:
@@ -222,18 +222,16 @@ def test_exp_product_identity_never_refuted():
 
 
 def test_exp_wide_interval_hull():
-    wide = IntervalReal(Dyadic(-2, 0), Dyadic(3, 0), 64)
-    iv = exp(wide)
-    assert_encloses(iv, mpmath.exp(-2))
-    assert_encloses(iv, mpmath.exp(3))
+    for lo, hi in ((-2, 3), (-200, 200), (-3, -0.25), (0.25, 7)):
+        iv = exp(from_rational(Fraction(lo), 64).hull(from_rational(Fraction(hi), 64)))
+        assert_encloses(iv, mpmath.exp(lo))
+        assert_encloses(iv, mpmath.exp(hi))
 
 
-def _exp_bracket(q: Fraction, bits: int = 3000) -> tuple[Fraction, Fraction]:
-    """Rationals lo < exp(q) < hi from mpmath at ``bits`` bits."""
-    with mpmath.workprec(bits):
-        v = mpf_to_fraction(mpmath.exp(mpmath.mpf(q.numerator) / q.denominator))
-    eps = v / 2 ** (bits - 10)
-    return v - eps, v + eps
+def _exp_bracket(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Rationals lo < exp(q) < hi from mpmath at 3000 bits."""
+    with mpmath.workprec(3000):
+        return oracle_bracket(mpmath.exp(mpmath.mpf(q.numerator) / q.denominator), 2990)
 
 
 def test_exp_endpoint_brackets_oracle():
@@ -268,9 +266,11 @@ def test_exp_brackets_oracle_with_reduction():
         st.integers(2, 600),
         st.integers(0, 8),
     )
+    @hypothesis.example(Fraction(-7, 3), 64, 0)  # k = -5, narrow
+    @hypothesis.example(Fraction(150), 2, 0)  # [128, 192]: the endpoint hull
     def check(q, p, widen):
-        # from_rational at p - widen gives inputs up to 2**widen ulps wide,
-        # some past the width that sends exp to its endpoint hull
+        # rounding q to p - widen bits widens the input up to 2**widen ulps
+        # of p; at small p that passes 1/2 and sends exp to its endpoint hull
         a = from_rational(q, max(2, p - widen))
         a = IntervalReal(a.lo, a.hi, p)
         lo, hi = _exp_bracket(q)
@@ -279,14 +279,6 @@ def test_exp_brackets_oracle_with_reduction():
         assert iv.lo.man > 0
 
     check()
-
-
-def test_exp_wide_hull_brackets_both_endpoints():
-    for lo_q, hi_q in ((-200, 200), (-3, Fraction(-1, 4)), (Fraction(1, 3), 7)):
-        a = from_rational(Fraction(lo_q), 64).hull(from_rational(Fraction(hi_q), 64))
-        iv = exp(a)
-        assert frac(iv.lo) <= _exp_bracket(Fraction(lo_q))[1]
-        assert _exp_bracket(Fraction(hi_q))[0] <= frac(iv.hi)
 
 
 def test_exp_agrees_with_reference_route():
@@ -468,9 +460,6 @@ def test_precision_policy():
     assert list(policy.precisions()) == [64, 128, 256, 512]
     with pytest.raises(ValueError):
         PrecisionPolicy(64, 32)
-
-
-def test_precision_policy_cap():
     assert list(PrecisionPolicy(MAX_PRECISION, MAX_PRECISION).precisions()) == [MAX_PRECISION]
     with pytest.raises(ValueError, match=str(MAX_PRECISION)):
         PrecisionPolicy(64, MAX_PRECISION + 1)
