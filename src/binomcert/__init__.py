@@ -8,13 +8,11 @@ arithmetic with outward rounding makes every bound comparison a proof.
 from .bounds import (
     BoundName,
     BoundResult,
-    SeriesCoefficients,
     agievich_catalan,
     agievich_central,
     agievich_general,
     agievich_shifted,
     catalan_upper,
-    central_exponent_coefficients,
     central_lower,
     central_ratio,
     central_upper,

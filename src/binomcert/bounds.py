@@ -13,13 +13,16 @@ Families implemented:
 * the Gaussian-shaped bound C(n, k) <= 2^n / sqrt(pi n / 2) *
   exp(-(2/n)(k - n/2)^2 + 23/(18n)), with its recentered and central
   specializations and the Catalan corollary;
-* the Binet-series bounds 4^n / sqrt(pi n) * exp(sum t_j / n^(2j-1)),
-  whose coefficients t_j derive from Bernoulli numbers; even-order
-  truncations bound from above, odd-order from below (the latter proved
-  here only empirically, by sweep);
-* the general C(rs, s) < c_r * d_r^(2s) / sqrt(s) * exp(...) bound with
-  growth factor d_r^2 = r^r / (r-1)^(r-1), which specializes exactly to
-  the central series bound at r = 2.
+* the Binet-series bounds, all truncations of one correction series
+  D_J(s, r) = sum_{j<=J} t_j(r) / s^(2j-1) with t_j(r) = B_2j / (2j(2j-1)) *
+  (r^-(2j-1) - 1 - (r-1)^-(2j-1)).  :func:`general_exponent` alone sums it,
+  and it alone enforces the order cap 1..MAX_SERIES_ORDER, for every caller.
+  The central case is r = 2: 4^n / sqrt(pi n) * exp(D_J(n, 2)), where
+  even-order truncations bound from above and odd-order from below (the
+  latter proved here only empirically, by sweep); Sasvari's pair and the
+  Catalan bounds are its orders 1, 2 and 4.  For general r it bounds
+  C(rs, s) < c_r * d_r^(2s) / sqrt(s) * exp(D_2N(s, r)), with growth factor
+  d_r^2 = r^r / (r-1)^(r-1).
 """
 
 from __future__ import annotations
@@ -36,13 +39,11 @@ from .interval import IntervalReal
 __all__ = [
     "BoundName",
     "BoundResult",
-    "SeriesCoefficients",
     "agievich_general",
     "agievich_shifted",
     "agievich_central",
     "agievich_catalan",
     "sasvari_pair",
-    "central_exponent_coefficients",
     "central_upper",
     "central_lower",
     "catalan_upper",
@@ -68,20 +69,6 @@ class BoundName(str, Enum):
 
 
 @dataclass(frozen=True)
-class SeriesCoefficients:
-    """Coefficients t_1..t_J of the correction exponent sum t_j / n^(2j-1)."""
-
-    order: int
-    terms: tuple[Fraction, ...]
-
-    def exponent_at(self, n: int) -> Fraction:
-        return sum(
-            (t / n ** (2 * j - 1) for j, t in enumerate(self.terms, start=1)),
-            Fraction(0),
-        )
-
-
-@dataclass(frozen=True)
 class BoundResult:
     """A named bound evaluation: exact exponent plus certified value."""
 
@@ -91,57 +78,40 @@ class BoundResult:
     value: IntervalReal
 
 
-@lru_cache(maxsize=None)
-def _series_term(j: int) -> Fraction:
-    """t_j from its definition, cross-checked against the simplified closed form.
-
-    Definition route: t_j = B_2j / (2j(2j-1)) * (1/2^(2j-1) - 2), the n-free
-    factor of the r=2 specialization of the general-exponent summand.
-    Simplified route: t_j = -B_2j (2^(2j)-1) / (j(2j-1) 2^(2j)).
-    """
-    b = bernoulli(2 * j)
-    t_def = b / (2 * j * (2 * j - 1)) * (Fraction(1, 2 ** (2 * j - 1)) - 2)
-    t_simpl = -b * (2 ** (2 * j) - 1) / (j * (2 * j - 1) * 2 ** (2 * j))
-    if t_def != t_simpl:
-        raise AssertionError(f"series coefficient routes disagree at j={j}")
-    return t_def
-
-
-def central_exponent_coefficients(order: int) -> SeriesCoefficients:
-    """t_1..t_J for the central-coefficient correction series.
-
-    t_1..t_4 = -1/8, 1/192, -1/640, 17/14336.
-    """
-    if not 1 <= order <= MAX_SERIES_ORDER:
-        raise ValueError(f"series order must be in 1..{MAX_SERIES_ORDER}")
-    return SeriesCoefficients(order, tuple(_series_term(j) for j in range(1, order + 1)))
+@lru_cache(maxsize=128)  # bounded: r comes from the caller
+def _coefficients(order: int, r: int) -> tuple[Fraction, ...]:
+    """t_1(r)..t_order(r); no Bernoulli number past B_(2 order) is computed."""
+    return tuple(
+        bernoulli(2 * j)
+        / (2 * j * (2 * j - 1))
+        * (Fraction(1, r ** (2 * j - 1)) - 1 - Fraction(1, (r - 1) ** (2 * j - 1)))
+        for j in range(1, order + 1)
+    )
 
 
 def general_exponent(s: int, r: int, order: int) -> Fraction:
-    """D_order(s, r): partial Bernoulli correction sum for log C(rs, s).
+    """D_order(s, r) = sum_{j<=order} t_j(r) / s^(2j-1), exact in Fractions.
 
-    sum_{j=1..order} B_2j / (2j(2j-1)) * [ (rs)^-(2j-1) - s^-(2j-1)
-    - ((r-1)s)^-(2j-1) ], exact in Fractions.
+    The correction exponent of every series bound: the partial Bernoulli sum
+    of B_2j / (2j(2j-1)) * [(rs)^-(2j-1) - s^-(2j-1) - ((r-1)s)^-(2j-1)] for
+    log C(rs, s), whose s-free factor is t_j(r).  r = 2 is the central
+    series, t_1..t_4 = -1/8, 1/192, -1/640, 17/14336.
     """
-    if r < 2 or s < 1 or order < 1:
-        raise ValueError("general_exponent: need r >= 2, s >= 1, order >= 1")
-    total = Fraction(0)
-    for j in range(1, order + 1):
-        e = 2 * j - 1
-        total += (
-            bernoulli(2 * j)
-            / (2 * j * (2 * j - 1))
-            * (Fraction(1, (r * s) ** e) - Fraction(1, s**e) - Fraction(1, ((r - 1) * s) ** e))
-        )
-    return total
+    if r < 2 or s < 1:
+        raise ValueError("general_exponent: need r >= 2, s >= 1")
+    if not 1 <= order <= MAX_SERIES_ORDER:
+        raise ValueError(f"series order must be in 1..{MAX_SERIES_ORDER}")
+    return sum(
+        (t / s ** (2 * j - 1) for j, t in enumerate(_coefficients(order, r), start=1)),
+        Fraction(0),
+    )
 
 
 def _evaluate(scale: Fraction, sqrt_scale: Fraction, n: int, exponent: Fraction, p: int) -> IntervalReal:
     """scale / sqrt(sqrt_scale * pi * n) * exp(exponent), containment-sound.
 
     One shared expression tree for every bound family, so that algebraically
-    identical bounds (e.g. the r=2 specialization of the general bound versus
-    the central series bound) produce bit-identical intervals.
+    identical bounds produce bit-identical intervals.
     """
     root = ivl.sqrt(ivl.from_rational(sqrt_scale, p) * ivl.pi(p) * ivl.from_int(n, p))
     pref = ivl.from_rational(scale, p) / root
@@ -172,11 +142,8 @@ def agievich_shifted(n: int, k: int, p: int = 64) -> BoundResult:
 
 
 def agievich_central(n: int, p: int = 64) -> BoundResult:
-    """Central case k=0: 4^n / sqrt(pi n) * exp(23/(36n))."""
-    _require_positive(n)
-    exponent = Fraction(23, 36 * n)
-    value = _evaluate(Fraction(4) ** n, Fraction(1), n, exponent, p)
-    return BoundResult(BoundName.AGIEVICH_CENTRAL, {"n": n}, exponent, value)
+    """Central case k=0: 4^n / sqrt(pi n) * exp(23/(36n)); :func:`agievich_shifted` at k = 0."""
+    return replace(agievich_shifted(n, 0, p), name=BoundName.AGIEVICH_CENTRAL, parameters={"n": n})
 
 
 def agievich_catalan(n: int, p: int = 64) -> BoundResult:
@@ -199,14 +166,21 @@ def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
     return lower, upper
 
 
+def _series_bound(name: BoundName, parameters: dict, r: int, s: int, order: int, p: int) -> BoundResult:
+    """c_r * d_r^(2s) / sqrt(s) * exp(D_order(s, r)): the one body of every
+    series bound; at r = 2 it is 4^s / sqrt(pi s) * exp(D_order(s, 2))."""
+    exponent = general_exponent(s, r, order)
+    scale = Fraction(r**r, (r - 1) ** (r - 1)) ** s
+    sqrt_scale = Fraction(2 * (r - 1), r)  # 2 * (1 - 1/r); times pi*s under the root
+    return BoundResult(name, parameters, exponent, _evaluate(scale, sqrt_scale, s, exponent, p))
+
+
 def central_upper(n: int, order: int, p: int = 64) -> BoundResult:
     """Even-order truncation: upper bound 4^n/sqrt(pi n) * exp(sum_{j<=J} t_j/n^(2j-1))."""
     _require_positive(n)
     if order % 2 != 0:
         raise ValueError("central_upper: odd truncations bound from below; use central_lower")
-    exponent = central_exponent_coefficients(order).exponent_at(n)
-    value = _evaluate(Fraction(4) ** n, Fraction(1), n, exponent, p)
-    return BoundResult(BoundName.CENTRAL_ORDER_N, {"n": n, "order": order}, exponent, value)
+    return _series_bound(BoundName.CENTRAL_ORDER_N, {"n": n, "order": order}, 2, n, order, p)
 
 
 def central_lower(n: int, order: int, p: int = 64) -> BoundResult:
@@ -214,9 +188,7 @@ def central_lower(n: int, order: int, p: int = 64) -> BoundResult:
     _require_positive(n)
     if order % 2 != 1:
         raise ValueError("central_lower: even truncations bound from above; use central_upper")
-    exponent = central_exponent_coefficients(order).exponent_at(n)
-    value = _evaluate(Fraction(4) ** n, Fraction(1), n, exponent, p)
-    return BoundResult(BoundName.CENTRAL_ORDER_N, {"n": n, "order": order}, exponent, value)
+    return _series_bound(BoundName.CENTRAL_ORDER_N, {"n": n, "order": order}, 2, n, order, p)
 
 
 def catalan_upper(n: int, order: int, p: int = 64) -> BoundResult:
@@ -237,20 +209,14 @@ def general_rs_bound(r: int, s: int, order: int, p: int = 64) -> BoundResult:
     Stirling-consistent, d_r^2 = r^r / (r-1)^(r-1) -- the unique choice for
     which the remainder series D converges to the actual log ratio.  Since
     d_r^2 is rational, d_r^(2s) is carried exactly; no square root of d is
-    ever needed.  At r = 2 this reproduces central_upper(s, 2*order)
-    bit-for-bit.
+    ever needed.  At r = 2 this is central_upper(s, 2*order) under another
+    name.  2*order counts against the series order cap, so order <= 10.
     """
     if r < 2:
         raise ValueError("general_rs_bound: need r >= 2")
     if s < 1 or order < 1:
         raise ValueError("general_rs_bound: need s >= 1 and order >= 1")
-    exponent = general_exponent(s, r, 2 * order)
-    scale = Fraction(r**r, (r - 1) ** (r - 1)) ** s
-    sqrt_scale = Fraction(2 * (r - 1), r)  # 2 * (1 - 1/r); times pi*s under the root
-    value = _evaluate(scale, sqrt_scale, s, exponent, p)
-    return BoundResult(
-        BoundName.GENERAL_RS, {"r": r, "s": s, "order": order}, exponent, value
-    )
+    return _series_bound(BoundName.GENERAL_RS, {"r": r, "s": s, "order": order}, r, s, 2 * order, p)
 
 
 def central_ratio(n: int, p: int = 64, binom_value: int | None = None) -> IntervalReal:

@@ -119,7 +119,7 @@ def _build_parser() -> _Parser:
         type=int,
         default=None,
         help="series order J for CentralOrderN/CatalanOrderN (odd J = lower "
-        "bound), or N for GeneralRS",
+        "bound), or N for GeneralRS (2N <= 20)",
     )
 
     p_errata = sub.add_parser(
@@ -364,8 +364,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision_init < 2 or args.precision_init > args.precision_max:
-            raise ValueError("need 2 <= --precision-init <= --precision-max")
         return args.run(args)
     except NeedsMorePrecision as exc:
         print(f"binomcert: undecided: {exc}", file=sys.stderr)

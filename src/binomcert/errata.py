@@ -44,7 +44,7 @@ def _render(make, digits: int, policy: PrecisionPolicy) -> str:
 def _bernoulli_sign_entry() -> ErrataEntry:
     b6 = bernoulli(6)
     assert b6 == Fraction(1, 42)
-    t3 = bd.central_exponent_coefficients(4).terms[2]
+    t3 = bd.general_exponent(1, 2, 3) - bd.general_exponent(1, 2, 2)
     t3_from_printed_sign = -(-b6) * (2**6 - 1) / Fraction(3 * 5 * 2**6)
     return ErrataEntry(
         location="series coefficients list (B_6)",
@@ -60,7 +60,7 @@ def _bernoulli_sign_entry() -> ErrataEntry:
 
 
 def _simplified_series_entry() -> ErrataEntry:
-    t1 = bd.central_exponent_coefficients(1).terms[0]
+    t1 = bd.general_exponent(1, 2, 1)
     printed_j1 = bernoulli(2) / (1 * 1) * Fraction(1, 2**2 - 1)
     return ErrataEntry(
         location="one-line simplified form of the even-order central exponent",
@@ -110,7 +110,7 @@ def _growth_factor_entry(policy: PrecisionPolicy) -> ErrataEntry:
 
 
 def _prefactor_entry(policy: PrecisionPolicy) -> ErrataEntry:
-    d2_at_1 = bd.central_exponent_coefficients(2).exponent_at(1)
+    d2_at_1 = bd.general_exponent(1, 2, 2)
     printed = _render(
         lambda p: _evaluate(Fraction(2), Fraction(1), 1, d2_at_1, p), 11, policy
     )

@@ -116,19 +116,14 @@ def _mul(a: Dyadic, b: Dyadic) -> tuple[int, int]:
     return a.man * b.man, a.exp + b.exp
 
 
-def _round_down(man: int, exp: int, p: int) -> Dyadic:
-    """Largest dyadic with <= p mantissa bits that is <= man * 2**exp."""
+def _round(man: int, exp: int, p: int, up: bool) -> Dyadic:
+    """Largest dyadic with <= p mantissa bits that is <= man * 2**exp, or the
+    smallest that is >= it when ``up``."""
     drop = man.bit_length() - p
     if drop <= 0 or man == 0:
         return Dyadic(*_norm(man, exp))
-    return Dyadic(*_norm(man >> drop, exp + drop))  # arithmetic shift floors
-
-
-def _round_up(man: int, exp: int, p: int) -> Dyadic:
-    drop = man.bit_length() - p
-    if drop <= 0 or man == 0:
-        return Dyadic(*_norm(man, exp))
-    return Dyadic(*_norm(-((-man) >> drop), exp + drop))
+    # arithmetic shift floors; negating around it ceils
+    return Dyadic(*_norm(-((-man) >> drop) if up else man >> drop, exp + drop))
 
 
 def _div(a: Dyadic, b: Dyadic, p: int, up: bool) -> Dyadic:
@@ -201,16 +196,16 @@ class IntervalReal:
     def __add__(self, other: "IntervalReal") -> "IntervalReal":
         p = max(self.prec, other.prec)
         return IntervalReal(
-            _round_down(*_add(self.lo, other.lo), p),
-            _round_up(*_add(self.hi, other.hi), p),
+            _round(*_add(self.lo, other.lo), p, False),
+            _round(*_add(self.hi, other.hi), p, True),
             p,
         )
 
     def __sub__(self, other: "IntervalReal") -> "IntervalReal":
         p = max(self.prec, other.prec)
         return IntervalReal(
-            _round_down(*_sub(self.lo, other.hi), p),
-            _round_up(*_sub(self.hi, other.lo), p),
+            _round(*_sub(self.lo, other.hi), p, False),
+            _round(*_sub(self.hi, other.lo), p, True),
             p,
         )
 
@@ -231,7 +226,7 @@ class IntervalReal:
             b = Dyadic(*_norm(*_mul(self.hi, other.lo)))
             if _cmp(a, b) > 0:
                 a, b = b, a
-            return IntervalReal(_round_down(*a, p), _round_up(*b, p), p)
+            return IntervalReal(_round(*a, p, False), _round(*b, p, True), p)
         if self.lo == self.hi:
             return other * self
         cands = [
@@ -245,7 +240,7 @@ class IntervalReal:
                 lo = c
             if _cmp(c, hi) > 0:
                 hi = c
-        return IntervalReal(_round_down(*lo, p), _round_up(*hi, p), p)
+        return IntervalReal(_round(*lo, p, False), _round(*hi, p, True), p)
 
     def __truediv__(self, other: "IntervalReal") -> "IntervalReal":
         p = max(self.prec, other.prec)
@@ -265,7 +260,7 @@ class IntervalReal:
         for c in his[1:]:
             if _cmp(c, hi) > 0:
                 hi = c
-        return IntervalReal(_round_down(*lo, p), _round_up(*hi, p), p)
+        return IntervalReal(_round(*lo, p, False), _round(*hi, p, True), p)
 
     # -- set operations -----------------------------------------------------
 
@@ -326,8 +321,8 @@ def from_rational(q: Fraction, p: int) -> IntervalReal:
         return IntervalReal(d, d, p)
     shift = p + 2 + max(0, den.bit_length() - abs(num).bit_length() + 1)
     scaled = num << shift
-    lo = _round_down(scaled // den, -shift, p)
-    hi = _round_up(-((-scaled) // den), -shift, p)
+    lo = _round(scaled // den, -shift, p, False)
+    hi = _round(-((-scaled) // den), -shift, p, True)
     return IntervalReal(lo, hi, p)
 
 
@@ -381,11 +376,9 @@ def sqrt(a: IntervalReal) -> IntervalReal:
 _MACHIN = ((4, 5), (-1, 239))
 _HUTTON = ((2, 3), (1, 7))
 
-_pi_cache: dict[tuple[int, tuple], IntervalReal] = {}
 
-
-def _atan_inv_scaled(x: int, q: int) -> tuple[int, int, int]:
-    """Bounds l <= atan(1/x) * 2**q <= h plus the number of terms used.
+def _atan_inv_scaled(x: int, q: int) -> tuple[int, int]:
+    """Bounds l <= atan(1/x) * 2**q <= h.
 
     Alternating series sum (-1)^i / ((2i+1) x^(2i+1)): the truncation error
     is bounded by the first omitted term, and every floor-divided term is off
@@ -403,14 +396,15 @@ def _atan_inv_scaled(x: int, q: int) -> tuple[int, int, int]:
         pw *= xx
         i += 1
     slack = i + 1  # i floor errors, tail < 1 unit
-    return acc - slack, acc + slack, i
+    return acc - slack, acc + slack
 
 
+@lru_cache(maxsize=None)
 def _pi_from_formula(p: int, formula: tuple) -> IntervalReal:
     q = p + 16
     lo_units = hi_units = 0
     for coeff, x in formula:
-        l, h, _ = _atan_inv_scaled(x, q)
+        l, h = _atan_inv_scaled(x, q)
         if coeff >= 0:
             lo_units += coeff * l
             hi_units += coeff * h
@@ -428,11 +422,7 @@ def pi(p: int, _formula: tuple = _MACHIN) -> IntervalReal:
     """Enclosure of pi of width <= 2**(-p+2), from a Machin-style arctan sum."""
     if p < 2:
         raise ValueError("pi: precision must be >= 2")
-    key = (p, _formula)
-    got = _pi_cache.get(key)
-    if got is None:
-        got = _pi_cache[key] = _pi_from_formula(p, _formula)
-    return got
+    return _pi_from_formula(p, _formula)
 
 
 # -- exponential ---------------------------------------------------------------
@@ -459,7 +449,7 @@ def _exp_endpoint(x: Dyadic, p: int, up: bool) -> Dyadic:
         term = ((term * big_x) >> w) // k  # floor(term * X / (k * 2**w))
         acc += term
     slack = 2 * k + 2
-    return _round_up(acc + slack, -w, p) if up else _round_down(acc - slack, -w, p)
+    return _round(acc + slack if up else acc - slack, -w, p, up)
 
 
 @lru_cache(maxsize=None)
@@ -474,7 +464,7 @@ def _pow_pos(base: IntervalReal, k: int, p: int) -> IntervalReal:
         out = out * out
         if bit == "1":
             out = out * base
-    return IntervalReal(_round_down(*out.lo, p), _round_up(*out.hi, p), p)
+    return IntervalReal(_round(*out.lo, p, False), _round(*out.hi, p, True), p)
 
 
 def _round_to_int(d: Dyadic) -> int:
@@ -524,8 +514,8 @@ def exp(a: IntervalReal) -> IntervalReal:
     p = a.prec
     k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))  # nearest int to 2*mid
     half_k = Dyadic(k, -1)
-    r_lo = _round_down(*_sub(a.lo, half_k), p + 16)
-    r_hi = _round_up(*_sub(a.hi, half_k), p + 16)
+    r_lo = _round(*_sub(a.lo, half_k), p + 16, False)
+    r_hi = _round(*_sub(a.hi, half_k), p + 16, True)
     if _cmp(r_lo, Dyadic(-1, -1)) < 0 or _cmp(r_hi, _HALF) > 0:
         # wide input: exp is monotone, take the hull of the endpoint images
         return exp(IntervalReal(a.lo, a.lo, p)).hull(exp(IntervalReal(a.hi, a.hi, p)))
@@ -533,7 +523,7 @@ def exp(a: IntervalReal) -> IntervalReal:
     if k:
         powed = _pow_pos(_exp_half(p + 16), abs(k), p + 8)
         scaled = scaled * powed if k > 0 else scaled / powed
-    return IntervalReal(_round_down(*scaled.lo, p), _round_up(*scaled.hi, p), p)
+    return IntervalReal(_round(*scaled.lo, p, False), _round(*scaled.hi, p, True), p)
 
 
 # -- precision policy ----------------------------------------------------------

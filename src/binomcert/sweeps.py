@@ -177,7 +177,7 @@ def _alternation(n_lo: int, n_hi: int, orders: tuple[int, ...], policy: Precisio
 
 def _ratio_gap(n: int, order: int, b: int, p: int) -> ivl.IntervalReal:
     """exp(order-truncated exponent) - C(2n,n) sqrt(pi n)/4^n, as an interval."""
-    exponent = bd.central_exponent_coefficients(order).exponent_at(n)
+    exponent = bd.general_exponent(n, 2, order)
     return ivl.exp(ivl.from_rational(exponent, p)) - bd.central_ratio(n, p, b)
 
 
@@ -194,11 +194,10 @@ def order_improvement_sweep(
     n_lo = max(n_lo, 2)  # ratio gaps below n=2 are outside the monotone regime
 
     def decisions():
-        d2 = bd.central_exponent_coefficients(2).exponent_at
-        d4 = bd.central_exponent_coefficients(4).exponent_at
         # two binomials at a time: memory stays linear in the range
         for (n, b), (n1, b1) in pairwise(central_binomials(n_lo, n_hi + 1)):
-            yield n, _exact(d4(n) < d2(n)), "gap4 !< gap2"
+            d4_below_d2 = bd.general_exponent(n, 2, 4) < bd.general_exponent(n, 2, 2)
+            yield n, _exact(d4_below_d2), "gap4 !< gap2"
             pair = lambda p: (_ratio_gap(n1, 2, b1, p), _ratio_gap(n, 2, b, p))
             yield n, _decide_less(pair, policy), "gap2 not decreasing"
 

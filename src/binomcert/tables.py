@@ -131,8 +131,8 @@ def _cell_makers(table_id: str, n: int):
             lambda p: bd.sasvari_pair(n, p)[1].value,
         )
     if table_id == "table2":
-        d2 = bd.central_exponent_coefficients(2).exponent_at(n)
-        d4 = bd.central_exponent_coefficients(4).exponent_at(n)
+        d2 = bd.general_exponent(n, 2, 2)
+        d4 = bd.general_exponent(n, 2, 4)
         return (
             lambda p: bd.central_ratio(n, p),
             lambda p: ivl.exp(ivl.from_rational(d2, p)),
@@ -166,8 +166,6 @@ def build_table(
         raise ValueError(f"unknown table id {table_id!r}")
     if digits is None:
         digits = TABLE_DIGITS[table_id]
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     columns = TABLE_COLUMNS[table_id]
     rows = []
     for n in range(1, 11):

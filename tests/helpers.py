@@ -19,9 +19,8 @@ from binomcert.interval import (
     _cmp,
     _norm,
     _pow_pos,
-    _round_down,
+    _round,
     _round_to_int,
-    _round_up,
     _sub,
     from_int,
 )
@@ -118,7 +117,7 @@ def _exp_taylor(r: IntervalReal, p: int) -> IntervalReal:
         acc = acc + term
     tail = Dyadic(1, -(p + 4))
     return IntervalReal(
-        _round_down(*_sub(acc.lo, tail), p), _round_up(*_add(acc.hi, tail), p), p
+        _round(*_sub(acc.lo, tail), p, False), _round(*_add(acc.hi, tail), p, True), p
     )
 
 
@@ -130,8 +129,8 @@ def reference_exp(a: IntervalReal) -> IntervalReal:
     k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))
     half_k = Dyadic(k, -1)
     r = IntervalReal(
-        _round_down(*_sub(a.lo, half_k), p + 16),
-        _round_up(*_sub(a.hi, half_k), p + 16),
+        _round(*_sub(a.lo, half_k), p + 16, False),
+        _round(*_sub(a.hi, half_k), p + 16, True),
         p + 16,
     )
     core = _exp_taylor(r, p + 8)
@@ -142,4 +141,4 @@ def reference_exp(a: IntervalReal) -> IntervalReal:
         half = _exp_taylor(IntervalReal(h, h, p + 16), p + 16)
         powed = _pow_pos(half, abs(k), p + 8)
         scaled = core * powed if k > 0 else core / powed
-    return IntervalReal(_round_down(*scaled.lo, p), _round_up(*scaled.hi, p), p)
+    return IntervalReal(_round(*scaled.lo, p, False), _round(*scaled.hi, p, True), p)

@@ -14,33 +14,44 @@ from helpers import assert_encloses, bernoulli_akiyama_tanigawa
 # -- series coefficients ----------------------------------------------------------
 
 
+def _central_terms(order: int) -> list[Fraction]:
+    """t_1..t_order of the central series: t_j = D_j(1, 2) - D_(j-1)(1, 2)."""
+    partial = [Fraction(0)] + [bd.general_exponent(1, 2, j) for j in range(1, order + 1)]
+    return [b - a for a, b in zip(partial, partial[1:])]
+
+
 def test_first_four_coefficients():
-    c = bd.central_exponent_coefficients(4)
-    assert c.terms == (
-        Fraction(-1, 8),
-        Fraction(1, 192),
-        Fraction(-1, 640),
-        Fraction(17, 14336),
-    )
-    assert bd.central_exponent_coefficients(2).terms == c.terms[:2]
+    terms = [Fraction(-1, 8), Fraction(1, 192), Fraction(-1, 640), Fraction(17, 14336)]
+    assert _central_terms(4) == terms
+    for order in (2, 4):  # each order's exponent is the prefix sum of the same terms
+        assert bd.general_exponent(3, 2, order) == sum(
+            t / 3 ** (2 * j - 1) for j, t in enumerate(terms[:order], start=1)
+        )
 
 
 def test_single_term_exponent():
-    assert bd.central_exponent_coefficients(1).exponent_at(1) == Fraction(-1, 8)
+    assert bd.general_exponent(1, 2, 1) == Fraction(-1, 8)
 
 
 def test_order_range_enforced():
-    with pytest.raises(ValueError):
-        bd.central_exponent_coefficients(0)
-    with pytest.raises(ValueError):
-        bd.central_exponent_coefficients(21)
+    for r in (2, 3):
+        for order in (0, 21):
+            with pytest.raises(ValueError, match=r"series order must be in 1\.\.20"):
+                bd.general_exponent(1, r, order)
+
+
+def test_general_rs_order_counts_against_the_cap():
+    # GeneralRS at order N sums 2N terms, so N = 11 is past the cap
+    with pytest.raises(ValueError, match=r"series order must be in 1\.\.20"):
+        bd.general_rs_bound(3, 5, 11)
+    assert bd.general_rs_bound(3, 5, 10).exponent == bd.general_exponent(5, 3, 20)
 
 
 def test_coefficient_double_derivation_through_20():
     # definition route vs simplified closed form, with Bernoulli numbers from
     # an independent oracle
     oracle_b = bernoulli_akiyama_tanigawa(40)
-    terms = bd.central_exponent_coefficients(20).terms
+    terms = _central_terms(20)
     for j in range(1, 21):
         b2j = oracle_b[2 * j]
         by_definition = b2j / (2 * j * (2 * j - 1)) * (Fraction(1, 2 ** (2 * j - 1)) - 2)
@@ -169,7 +180,7 @@ def test_central_upper_equals_sasvari_upper():
     [(3, 2, "0.95937450378689"), (3, 4, "0.95936885517397")],
 )
 def test_ratio_form_matches_published(n, order, expected):
-    exponent = bd.central_exponent_coefficients(order).exponent_at(n)
+    exponent = bd.general_exponent(n, 2, order)
     iv = ivl.exp(ivl.from_rational(exponent, 64))
     assert render_significant(iv, 14) == expected
 
@@ -234,12 +245,20 @@ def test_general_bound_domain():
         bd.general_rs_bound(3, 5, 0)
 
 
-def test_general_exponent_specializes_to_series():
-    for n in (1, 2, 9):
-        for order in (2, 4):
-            assert bd.general_exponent(n, 2, order) == bd.central_exponent_coefficients(
-                order
-            ).exponent_at(n)
+def test_general_exponent_matches_defining_sum():
+    # the Binet summand for log C(rs, s) term by term, with Bernoulli numbers
+    # from an independent oracle; r = 2 is the central series
+    oracle_b = bernoulli_akiyama_tanigawa(40)
+    for r in (2, 3, 4, 5):
+        for s in (1, 2, 9, 50):
+            total = Fraction(0)
+            for order in range(1, 21):
+                e = 2 * order - 1
+                bracket = (
+                    Fraction(1, (r * s) ** e) - Fraction(1, s**e) - Fraction(1, ((r - 1) * s) ** e)
+                )
+                total += oracle_b[2 * order] / (2 * order * e) * bracket
+                assert bd.general_exponent(s, r, order) == total, (r, s, order)
 
 
 # -- central ratio ------------------------------------------------------------------

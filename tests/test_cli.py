@@ -74,6 +74,7 @@ def _cases() -> dict[str, str]:
             "usage_verify_order25.md": "verify --max-n 10 --order 25",
             "usage_bound_order25.md": "bound 10 CentralOrderN --order 25",
             "usage_bound_r1.md": "bound 5 GeneralRS --r 1",
+            "usage_bound_generalrs_order11.md": "bound 5 GeneralRS --order 11",
             "usage_catalan_order3.md": "bound 10 CatalanOrderN --order 3",
             "usage_max_n0.md": "verify --max-n 0",
             "usage_table_digits0.md": "table table1 --digits 0",

@@ -163,15 +163,13 @@ def test_order_gap_rational_verdict_matches_interval_route():
     # gap4(n) and gap2(n) share the C(2n,n) sqrt(pi n)/4^n term, so the sweep
     # decides gap4 < gap2 by the exponents alone; the interval route, which
     # subtracts that term from both sides, must reach the same verdict.
-    d2 = bounds.central_exponent_coefficients(2).exponent_at
-    d4 = bounds.central_exponent_coefficients(4).exponent_at
     for n in range(2, 301):
         b = central_binomial(n)
         interval_verdict, _ = sweeps._decide_less(
             lambda p: (sweeps._ratio_gap(n, 4, b, p), sweeps._ratio_gap(n, 2, b, p)),
             DEFAULT_POLICY,
         )
-        assert d4(n) < d2(n)
+        assert bounds.general_exponent(n, 2, 4) < bounds.general_exponent(n, 2, 2)
         assert interval_verdict == "proved", n
 
 
