@@ -16,7 +16,8 @@ Families implemented:
 * the Binet-series bounds, all truncations of one correction series
   D_J(s, r) = sum_{j<=J} t_j(r) / s^(2j-1) with t_j(r) = B_2j / (2j(2j-1)) *
   (r^-(2j-1) - 1 - (r-1)^-(2j-1)).  :func:`general_exponent` alone sums it,
-  and it alone enforces the order cap 1..MAX_SERIES_ORDER, for every caller.
+  and the order cap 1..MAX_SERIES_ORDER has one check,
+  :func:`check_series_order`, which it applies for every caller.
   The central case is r = 2: 4^n / sqrt(pi n) * exp(D_J(n, 2)), where
   even-order truncations bound from above and odd-order from below (the
   latter proved here only empirically, by sweep); Sasvari's pair and the
@@ -47,6 +48,7 @@ __all__ = [
     "central_upper",
     "central_lower",
     "catalan_upper",
+    "check_series_order",
     "general_exponent",
     "general_rs_bound",
     "central_ratio",
@@ -89,6 +91,12 @@ def _coefficients(order: int, r: int) -> tuple[Fraction, ...]:
     )
 
 
+def check_series_order(order: int) -> None:
+    """Refuse a series order outside 1..MAX_SERIES_ORDER with ``ValueError``."""
+    if not 1 <= order <= MAX_SERIES_ORDER:
+        raise ValueError(f"series order must be in 1..{MAX_SERIES_ORDER}")
+
+
 def general_exponent(s: int, r: int, order: int) -> Fraction:
     """D_order(s, r) = sum_{j<=order} t_j(r) / s^(2j-1), exact in Fractions.
 
@@ -99,8 +107,7 @@ def general_exponent(s: int, r: int, order: int) -> Fraction:
     """
     if r < 2 or s < 1:
         raise ValueError("general_exponent: need r >= 2, s >= 1")
-    if not 1 <= order <= MAX_SERIES_ORDER:
-        raise ValueError(f"series order must be in 1..{MAX_SERIES_ORDER}")
+    check_series_order(order)
     return sum(
         (t / s ** (2 * j - 1) for j, t in enumerate(_coefficients(order, r), start=1)),
         Fraction(0),

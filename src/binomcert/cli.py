@@ -243,9 +243,8 @@ def _verify_md(rows: list[dict], cols: list[str]) -> str:
 
 def _cmd_verify(args) -> int:
     orders = tuple(args.order) if args.order else DEFAULT_ORDERS
-    for j in orders:
-        if not 1 <= j <= bd.MAX_SERIES_ORDER:
-            raise ValueError(f"order {j} outside 1..{bd.MAX_SERIES_ORDER}")
+    for j in orders:  # before any sweep runs
+        bd.check_series_order(j)
     reports = run_verify(args.max_n, orders, _policy(args), jobs=args.jobs)
     rows = []
     for rep in reports:

@@ -17,7 +17,8 @@ modest size) the relative width at working precision p stays below
 bits once |a| passes 2**13 (see :func:`exp`).  The test suite checks this
 slack empirically.
 
-Shared state is limited to per-precision caches of pi and exp(1/2), whose
+Shared state is limited to per-precision caches of pi and exp(1/2) and a
+small cache of the powers of five that decimal rendering divides by, whose
 entries are immutable once stored.
 """
 
@@ -48,6 +49,7 @@ __all__ = [
     "render_escalating",
     "round_significant",
     "MAX_DIGITS",
+    "MAX_DECIMAL_EXPONENT",
     "MAX_PRECISION",
     "UNDETERMINED",
 ]
@@ -566,6 +568,75 @@ DEFAULT_POLICY = PrecisionPolicy()
 
 
 MAX_DIGITS = 4300  # Python's default int-to-str digit limit (sys.int_info)
+MAX_DECIMAL_EXPONENT = 10**6  # |e| cap: a plain rendering stays under ~10**6 characters
+_LOG10_2 = _math.log10(2)
+
+
+@lru_cache(maxsize=4)  # an interval's two endpoints nearly always share k
+def _pow5(k: int) -> int:
+    return 5**k
+
+
+def _round_scaled(num: int, shift: int, den: int, digits: int) -> str:
+    """Round num * 2**shift / den (den > 0) half to even to ``digits``
+    significant digits, in plain integers; see :func:`round_significant`."""
+    if digits < 1:
+        raise ValueError("round_significant: digits must be >= 1")
+    if digits > MAX_DIGITS:
+        raise ValueError(
+            f"round_significant: digits must be <= {MAX_DIGITS}, "
+            "Python's int-to-str conversion limit"
+        )
+    if num == 0:
+        return "0"
+    if num < 0:
+        return "-" + _round_scaled(-num, shift, den, digits)
+    # log2 of the value is within one of this bit count, so e is within one of
+    # the decimal exponent of its leading digit
+    e = _math.floor((num.bit_length() - den.bit_length() + shift) * _LOG10_2)
+    if e - 1 > MAX_DECIMAL_EXPONENT or e + 2 < -MAX_DECIMAL_EXPONENT:
+        _refuse_exponent(e)  # before any power is built
+    # value / 10**k = num * 2**(shift - k) / (den * 5**k), with k the ulp's exponent
+    k = e - digits + 1
+    if k >= 0:
+        den *= _pow5(k)
+    else:
+        num *= _pow5(-k)
+    if shift >= k:
+        num <<= shift - k
+    else:
+        den <<= k - shift
+    n, r = divmod(num, den)  # n = floor(value / 10**k), r / den the fraction left
+    top = 10**digits
+    while n >= top:  # e was too small: divide the quotient by ten
+        n, t = divmod(n, 10)
+        r += t * den
+        den *= 10
+        e += 1
+    while n * 10 < top:  # e was too large: one more digit of the quotient
+        t, r = divmod(10 * r, den)
+        n = 10 * n + t
+        e -= 1
+    if 2 * r > den or (2 * r == den and n & 1):
+        n += 1
+        if n == top:  # rounding carried into a new decade
+            n //= 10
+            e += 1
+    if abs(e) > MAX_DECIMAL_EXPONENT:
+        _refuse_exponent(e)
+    s = str(n)
+    if e >= digits - 1:
+        return s + "0" * (e - digits + 1)
+    if e >= 0:
+        return s[: e + 1] + "." + s[e + 1 :]
+    return "0." + "0" * (-e - 1) + s
+
+
+def _refuse_exponent(e: int) -> None:
+    raise ValueError(
+        f"round_significant: decimal exponent about {e} is outside "
+        f"-{MAX_DECIMAL_EXPONENT}..{MAX_DECIMAL_EXPONENT} (MAX_DECIMAL_EXPONENT)"
+    )
 
 
 def round_significant(x: Fraction, digits: int) -> str:
@@ -578,42 +649,21 @@ def round_significant(x: Fraction, digits: int) -> str:
     '1000' at 3 digits).  An integer rendering pads with zeros, so the string
     alone does not show its precision: '12300' is 12345 at 3 digits (ulp 100),
     and a reader must take the ulp from ``digits`` and ``e``, not from the
-    trailing zeros.  Magnitudes beyond Python's int-to-str digit limit are
-    fine: the exponent comes from ``bit_length``, and only the ``digits``
-    leading digits are ever converted to a string, so ``digits`` itself may
-    not exceed that limit, :data:`MAX_DIGITS`.
+    trailing zeros.
+
+    The work is in plain integers.  ``e`` is estimated from ``bit_length``
+    and is within one of the truth.  Writing 10**k = 5**k * 2**k turns the
+    division by the ulp into one power of five and a bit shift, so one
+    ``divmod`` gives a quotient of about ``digits`` digits, and a step on that
+    quotient corrects ``e``.  Only those ``digits`` leading digits are ever
+    converted to a string, so magnitudes beyond Python's int-to-str digit
+    limit are fine, but ``digits`` itself may not exceed that limit,
+    :data:`MAX_DIGITS`.  A value whose ``|e|`` exceeds
+    :data:`MAX_DECIMAL_EXPONENT` would print as a string of over a million
+    characters and is refused with ``ValueError``, judged from the estimate
+    before any power is built.
     """
-    if digits < 1:
-        raise ValueError("round_significant: digits must be >= 1")
-    if digits > MAX_DIGITS:
-        raise ValueError(
-            f"round_significant: digits must be <= {MAX_DIGITS}, "
-            "Python's int-to-str conversion limit"
-        )
-    if x == 0:
-        return "0"
-    if x < 0:
-        return "-" + round_significant(-x, digits)
-    # log10(2) * (bit-length difference) is within one of the true exponent;
-    # the two loops below make it exact
-    e = _math.floor((x.numerator.bit_length() - x.denominator.bit_length()) * _math.log10(2))
-    while Fraction(10) ** e > x:
-        e -= 1
-    while x >= Fraction(10) ** (e + 1):
-        e += 1
-    q = x / Fraction(10) ** (e - digits + 1)
-    n, r = divmod(q.numerator, q.denominator)
-    if 2 * r > q.denominator or (2 * r == q.denominator and n % 2 == 1):
-        n += 1
-    if n == 10**digits:  # rounding carried into a new decade
-        n //= 10
-        e += 1
-    s = str(n)
-    if e >= digits - 1:
-        return s + "0" * (e - digits + 1)
-    if e >= 0:
-        return s[: e + 1] + "." + s[e + 1 :]
-    return "0." + "0" * (-e - 1) + s
+    return _round_scaled(x.numerator, 0, x.denominator, digits)
 
 
 def render_significant(iv: IntervalReal, digits: int) -> str:
@@ -627,13 +677,19 @@ def render_significant(iv: IntervalReal, digits: int) -> str:
     taken from ``digits``: an integer rendering such as '12300' at 3 digits
     has ulp 100, which its trailing zeros do not tell (see
     :func:`round_significant`).
+
+    Each endpoint man * 2**exp is rounded from its mantissa and exponent as
+    they stand, by the integer route of :func:`round_significant`, with no
+    ``Fraction`` of the whole magnitude.  ``ValueError`` refuses digit counts
+    outside 1..:data:`MAX_DIGITS` and endpoints whose decimal exponent is
+    beyond :data:`MAX_DECIMAL_EXPONENT`.
     """
     if iv.lo.man == 0 and iv.hi.man == 0:
         return "0"
     if iv.lo.man <= 0 <= iv.hi.man:
         raise NeedsMorePrecision("interval straddles zero; no leading digit")
-    lo_s = round_significant(iv.lo.as_fraction(), digits)
-    hi_s = round_significant(iv.hi.as_fraction(), digits)
+    lo_s = _round_scaled(iv.lo.man, iv.lo.exp, 1, digits)
+    hi_s = _round_scaled(iv.hi.man, iv.hi.exp, 1, digits)
     if lo_s != hi_s:
         raise NeedsMorePrecision(
             f"interval spans [{lo_s}, {hi_s}] at {digits} significant digits"

@@ -2,12 +2,14 @@
 
 The oracles are deliberately independent of the package's own arithmetic:
 mpmath for transcendental references, Akiyama-Tanigawa for Bernoulli numbers,
-``math.comb``/``Fraction`` for exact values.  The one exception is
-:func:`reference_exp`, the slow route that ``interval.exp``'s fixed-point
-Taylor sums replaced: it runs the Taylor sum in the package's interval
-arithmetic, so a test can check that the fast path agrees with it.
+``math.comb``/``Fraction`` for exact values.  Two slow routes that the
+package replaced live here too, so a test can check that the fast path agrees
+with them: :func:`reference_exp`, which runs ``interval.exp``'s Taylor sum in
+the package's interval arithmetic, and :func:`reference_round_significant`,
+which rounds to significant digits with exact ``Fraction``s.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -142,3 +144,35 @@ def reference_exp(a: IntervalReal) -> IntervalReal:
         powed = _pow_pos(half, abs(k), p + 8)
         scaled = core * powed if k > 0 else core / powed
     return IntervalReal(_round(*scaled.lo, p, False), _round(*scaled.hi, p, True), p)
+
+
+# -- reference rendering: exact Fractions of the whole magnitude -----------------
+
+
+def reference_round_significant(x: Fraction, digits: int) -> str:
+    """Round-half-even rendering of a rational to ``digits`` significant
+    digits, by exact ``Fraction`` arithmetic: the route
+    ``interval.round_significant`` took before its integer-only core
+    (quadratic in the digit count of ``x``)."""
+    if x == 0:
+        return "0"
+    if x < 0:
+        return "-" + reference_round_significant(-x, digits)
+    e = math.floor((x.numerator.bit_length() - x.denominator.bit_length()) * math.log10(2))
+    while Fraction(10) ** e > x:
+        e -= 1
+    while x >= Fraction(10) ** (e + 1):
+        e += 1
+    q = x / Fraction(10) ** (e - digits + 1)
+    n, r = divmod(q.numerator, q.denominator)
+    if 2 * r > q.denominator or (2 * r == q.denominator and n % 2 == 1):
+        n += 1
+    if n == 10**digits:  # rounding carried into a new decade
+        n //= 10
+        e += 1
+    s = str(n)
+    if e >= digits - 1:
+        return s + "0" * (e - digits + 1)
+    if e >= 0:
+        return s[: e + 1] + "." + s[e + 1 :]
+    return "0." + "0" * (-e - 1) + s

@@ -85,6 +85,10 @@ def _cases() -> dict[str, str]:
             "usage_precision_over_cap.md": (
                 "bound 5 SasvariUpper --precision-init 99999 --precision-max 100000"
             ),
+            # values whose plain rendering would be too long to print
+            "usage_bound_order19_n1.md": "bound 1 CentralOrderN --order 19",
+            "usage_bound_order20_n1.md": "bound 1 CentralOrderN --order 20",
+            "usage_bound_shifted_k100000.md": "bound 5 AgievichShifted --k 100000",
             # an --out file that cannot be created is not a failed check
             "out_unwritable.md": "bound 5 SasvariUpper --out /nonexistent_dir/x.md",
         }

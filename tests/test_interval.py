@@ -4,9 +4,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from binomcert import bounds as bd
+from binomcert import interval
 from binomcert.interval import (
     Dyadic,
     IntervalReal,
+    MAX_DECIMAL_EXPONENT,
     MAX_DIGITS,
     MAX_PRECISION,
     NeedsMorePrecision,
@@ -26,7 +29,7 @@ from binomcert.interval import (
 from binomcert.interval import _HUTTON  # second, structurally different pi series
 from binomcert.interval import _exp_endpoint
 from binomcert.bounds import general_exponent
-from helpers import assert_encloses, oracle_bracket, reference_exp
+from helpers import assert_encloses, oracle_bracket, reference_exp, reference_round_significant
 
 
 def frac(iv_dyadic: Dyadic) -> Fraction:
@@ -403,6 +406,118 @@ def test_render_escalating_retries_until_digits_are_proved():
     assert render_escalating(third, 30, PrecisionPolicy(8, 32)) == UNDETERMINED
     assert tried == [8, 16, 32]
 
+
+
+# -- integer rendering against the Fraction reference route ------------------------
+
+
+def _point(d: Dyadic) -> IntervalReal:
+    return IntervalReal(d, d, 64)
+
+
+def test_render_agrees_with_reference_route():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(
+        st.integers(-(2**600) + 1, 2**600 - 1),
+        st.integers(-5000, 5000),
+        st.integers(1, 60),
+    )
+    def dyadics(man, e, digits):
+        d = Dyadic(man, e)
+        expected = reference_round_significant(d.as_fraction(), digits)
+        assert render_significant(_point(d), digits) == expected
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(
+        st.integers(-(10**90), 10**90),
+        st.integers(1, 10**90),
+        st.integers(1, 60),
+    )
+    def fractions(num, den, digits):
+        x = Fraction(num, den)
+        assert round_significant(x, digits) == reference_round_significant(x, digits)
+
+    dyadics()
+    fractions()
+
+
+@pytest.mark.parametrize(
+    "x, digits, expected",
+    [
+        (Fraction(1, 8), 2, "0.12"),  # ties go to the even neighbour
+        (Fraction(3, 8), 2, "0.38"),
+        (Fraction(5, 2), 1, "2"),
+        (Fraction(7, 2), 1, "4"),
+        (Fraction(99996, 100), 3, "1000"),  # carry into a new decade
+    ],
+)
+def test_render_pinned_ties_and_carry(x, digits, expected):
+    assert reference_round_significant(x, digits) == expected
+    assert round_significant(x, digits) == expected
+    assert round_significant(-x, digits) == "-" + expected
+    if x.denominator & (x.denominator - 1) == 0:  # dyadic: the interval route too
+        assert render_significant(from_rational(x, 64), digits) == expected
+
+
+def test_render_powers_of_ten_and_neighbours():
+    # the exponent estimate is off by one on either side of a power of ten
+    for k in range(-40, 41):
+        ten = Fraction(10) ** k
+        near = [ten + sign * Fraction(1, 2**m) for sign in (1, -1) for m in (1, 20, 140, 400)]
+        for x in (ten, *near):
+            for digits in (1, 2, 7, 20):
+                assert round_significant(x, digits) == reference_round_significant(x, digits)
+
+
+def test_render_large_bound_matches_reference():
+    iv = bd.sasvari_pair(30000, 64)[1].value
+    for digits in (10, 14):
+        lo = reference_round_significant(iv.lo.as_fraction(), digits)
+        assert reference_round_significant(iv.hi.as_fraction(), digits) == lo
+        assert render_significant(iv, digits) == lo
+
+
+def test_render_path_builds_no_fraction(monkeypatch):
+    makers = {
+        "table1 cell, n = 10": lambda p: bd.sasvari_pair(10, p)[1].value,
+        "bound at n = 26000": lambda p: bd.sasvari_pair(26000, p)[1].value,
+    }
+    expected = {
+        what: reference_round_significant(make(64).lo.as_fraction(), 10)
+        for what, make in makers.items()
+    }
+
+    def refuse(*args):
+        raise AssertionError("the render path built a Fraction")
+
+    monkeypatch.setattr(Dyadic, "as_fraction", refuse)
+    monkeypatch.setattr(interval, "Fraction", refuse)
+    for what, make in makers.items():
+        assert render_significant(make(64), 10) == expected[what], what
+        assert render_escalating(make, 10) == expected[what], what
+
+
+def test_render_refuses_exponents_beyond_the_cap(monkeypatch):
+    cap = MAX_DECIMAL_EXPONENT
+    assert cap == 10**6
+    # |e| = cap still prints in full, a carry up to e = -cap included
+    assert round_significant(Fraction(10**cap), 2) == "1" + "0" * cap
+    assert round_significant(Fraction(99996, 10 ** (cap + 5)), 3) == "0." + "0" * (cap - 1) + "100"
+    for x in (Fraction(10 ** (cap + 1)), Fraction(1, 10 ** (cap + 1))):
+        with pytest.raises(ValueError, match="MAX_DECIMAL_EXPONENT"):
+            round_significant(x, 3)
+
+    # far outside, the estimate refuses before any power of five is built
+    def no_power(k):
+        raise AssertionError(f"built 5**{k}")
+
+    monkeypatch.setattr(interval, "_pow5", no_power)
+    for d in (Dyadic(1, -(10**12)), Dyadic(-3, 10**13), Dyadic(1, 3_400_000)):
+        with pytest.raises(ValueError, match=f"outside -{cap}..{cap}"):
+            render_significant(_point(d), 10)
 
 
 @pytest.mark.parametrize(
