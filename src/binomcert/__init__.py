@@ -6,7 +6,6 @@ arithmetic with outward rounding makes every bound comparison a proof.
 """
 
 from .bounds import (
-    BoundName,
     BoundResult,
     agievich_catalan,
     agievich_central,

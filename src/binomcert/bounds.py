@@ -24,12 +24,15 @@ Families implemented:
   Catalan bounds are its orders 1, 2 and 4.  For general r it bounds
   C(rs, s) < c_r * d_r^(2s) / sqrt(s) * exp(D_2N(s, r)), with growth factor
   d_r^2 = r^r / (r-1)^(r-1).
+
+A :class:`BoundResult` holds only the exact exponent and the certified value.
+The names the command line gives these bounds (``SasvariUpper`` and the rest)
+and the parameters it prints are defined in :mod:`binomcert.cli`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,7 +41,6 @@ from .combinatorics import bernoulli, central_binomial
 from .interval import IntervalReal
 
 __all__ = [
-    "BoundName",
     "BoundResult",
     "agievich_general",
     "agievich_shifted",
@@ -58,24 +60,10 @@ __all__ = [
 MAX_SERIES_ORDER = 20  # asymptotic series; stay well inside the useful regime
 
 
-class BoundName(str, Enum):
-    AGIEVICH_GENERAL = "AgievichGeneral"
-    AGIEVICH_SHIFTED = "AgievichShifted"
-    AGIEVICH_CENTRAL = "AgievichCentral"
-    AGIEVICH_CATALAN = "AgievichCatalan"
-    SASVARI_LOWER = "SasvariLower"
-    SASVARI_UPPER = "SasvariUpper"
-    CENTRAL_ORDER_N = "CentralOrderN"
-    CATALAN_ORDER_N = "CatalanOrderN"
-    GENERAL_RS = "GeneralRS"
-
-
 @dataclass(frozen=True)
 class BoundResult:
-    """A named bound evaluation: exact exponent plus certified value."""
+    """A bound evaluation: exact exponent plus certified value."""
 
-    name: BoundName
-    parameters: dict
     exponent: Fraction
     value: IntervalReal
 
@@ -137,7 +125,7 @@ def agievich_general(n: int, k: int, p: int = 64) -> BoundResult:
         raise ValueError("agievich_general: need 0 <= k <= n")
     exponent = Fraction(-((2 * k - n) ** 2), 2 * n) + Fraction(23, 18 * n)
     value = _evaluate(Fraction(2) ** n, Fraction(1, 2), n, exponent, p)
-    return BoundResult(BoundName.AGIEVICH_GENERAL, {"n": n, "k": k}, exponent, value)
+    return BoundResult(exponent, value)
 
 
 def agievich_shifted(n: int, k: int, p: int = 64) -> BoundResult:
@@ -145,19 +133,19 @@ def agievich_shifted(n: int, k: int, p: int = 64) -> BoundResult:
     _require_positive(n)
     exponent = Fraction(-(k * k), n) + Fraction(23, 36 * n)
     value = _evaluate(Fraction(4) ** n, Fraction(1), n, exponent, p)
-    return BoundResult(BoundName.AGIEVICH_SHIFTED, {"n": n, "k": k}, exponent, value)
+    return BoundResult(exponent, value)
 
 
 def agievich_central(n: int, p: int = 64) -> BoundResult:
     """Central case k=0: 4^n / sqrt(pi n) * exp(23/(36n)); :func:`agievich_shifted` at k = 0."""
-    return replace(agievich_shifted(n, 0, p), name=BoundName.AGIEVICH_CENTRAL, parameters={"n": n})
+    return agievich_shifted(n, 0, p)
 
 
 def agievich_catalan(n: int, p: int = 64) -> BoundResult:
     """Catalan corollary: the central bound divided by (n + 1)."""
     base = agievich_central(n, p)
     value = base.value / ivl.from_int(n + 1, p)
-    return BoundResult(BoundName.AGIEVICH_CATALAN, {"n": n}, base.exponent, value)
+    return BoundResult(base.exponent, value)
 
 
 def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
@@ -165,21 +153,18 @@ def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
     4^n/sqrt(pi n) * exp(-1/(8n) + 1/(192 n^3)).
 
     The order-1 and order-2 truncations of the central correction series:
-    :func:`central_lower` at order 1 and :func:`central_upper` at order 2,
-    under Sasvari's names.
+    :func:`central_lower` at order 1 and :func:`central_upper` at order 2.
     """
-    lower = replace(central_lower(n, 1, p), name=BoundName.SASVARI_LOWER, parameters={"n": n})
-    upper = replace(central_upper(n, 2, p), name=BoundName.SASVARI_UPPER, parameters={"n": n})
-    return lower, upper
+    return central_lower(n, 1, p), central_upper(n, 2, p)
 
 
-def _series_bound(name: BoundName, parameters: dict, r: int, s: int, order: int, p: int) -> BoundResult:
+def _series_bound(r: int, s: int, order: int, p: int) -> BoundResult:
     """c_r * d_r^(2s) / sqrt(s) * exp(D_order(s, r)): the one body of every
     series bound; at r = 2 it is 4^s / sqrt(pi s) * exp(D_order(s, 2))."""
     exponent = general_exponent(s, r, order)
     scale = Fraction(r**r, (r - 1) ** (r - 1)) ** s
     sqrt_scale = Fraction(2 * (r - 1), r)  # 2 * (1 - 1/r); times pi*s under the root
-    return BoundResult(name, parameters, exponent, _evaluate(scale, sqrt_scale, s, exponent, p))
+    return BoundResult(exponent, _evaluate(scale, sqrt_scale, s, exponent, p))
 
 
 def central_upper(n: int, order: int, p: int = 64) -> BoundResult:
@@ -187,7 +172,7 @@ def central_upper(n: int, order: int, p: int = 64) -> BoundResult:
     _require_positive(n)
     if order % 2 != 0:
         raise ValueError("central_upper: odd truncations bound from below; use central_lower")
-    return _series_bound(BoundName.CENTRAL_ORDER_N, {"n": n, "order": order}, 2, n, order, p)
+    return _series_bound(2, n, order, p)
 
 
 def central_lower(n: int, order: int, p: int = 64) -> BoundResult:
@@ -195,7 +180,7 @@ def central_lower(n: int, order: int, p: int = 64) -> BoundResult:
     _require_positive(n)
     if order % 2 != 1:
         raise ValueError("central_lower: even truncations bound from above; use central_upper")
-    return _series_bound(BoundName.CENTRAL_ORDER_N, {"n": n, "order": order}, 2, n, order, p)
+    return _series_bound(2, n, order, p)
 
 
 def catalan_upper(n: int, order: int, p: int = 64) -> BoundResult:
@@ -204,9 +189,7 @@ def catalan_upper(n: int, order: int, p: int = 64) -> BoundResult:
         raise ValueError("catalan_upper: supported orders are 2 and 4")
     base = central_upper(n, order, p)
     value = base.value / ivl.from_int(n + 1, p)
-    return BoundResult(
-        BoundName.CATALAN_ORDER_N, {"n": n, "order": order}, base.exponent, value
-    )
+    return BoundResult(base.exponent, value)
 
 
 def general_rs_bound(r: int, s: int, order: int, p: int = 64) -> BoundResult:
@@ -216,14 +199,13 @@ def general_rs_bound(r: int, s: int, order: int, p: int = 64) -> BoundResult:
     Stirling-consistent, d_r^2 = r^r / (r-1)^(r-1) -- the unique choice for
     which the remainder series D converges to the actual log ratio.  Since
     d_r^2 is rational, d_r^(2s) is carried exactly; no square root of d is
-    ever needed.  At r = 2 this is central_upper(s, 2*order) under another
-    name.  2*order counts against the series order cap, so order <= 10.
+    ever needed.  At r = 2 this is central_upper(s, 2*order).  2*order counts against the series order cap, so order <= 10.
     """
     if r < 2:
         raise ValueError("general_rs_bound: need r >= 2")
     if s < 1 or order < 1:
         raise ValueError("general_rs_bound: need s >= 1 and order >= 1")
-    return _series_bound(BoundName.GENERAL_RS, {"r": r, "s": s, "order": order}, r, s, 2 * order, p)
+    return _series_bound(r, s, 2 * order, p)
 
 
 def central_ratio(n: int, p: int = 64, binom_value: int | None = None) -> IntervalReal:

@@ -10,6 +10,10 @@ stderr); 73 the ``--out`` file could not be written (one line on stderr).
 
 Output is deterministic: identical invocations produce byte-identical
 payloads once ``--no-timing`` drops the wall-clock fields.
+
+The nine ``bound`` names, the parameters printed with each and the
+:mod:`binomcert.bounds` call behind each are defined here, in ``_BOUNDS``.
+The argument parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def _build_parser() -> _Parser:
     )
     p_bound.set_defaults(run=_cmd_bound)
     p_bound.add_argument("n", type=int)
-    p_bound.add_argument("name", choices=[b.value for b in bd.BoundName])
+    p_bound.add_argument("name", choices=list(_BOUNDS))
     p_bound.add_argument("--digits", type=int, default=10)
     p_bound.add_argument("--k", type=int, default=0, help="offset for the Gaussian-form bounds")
     p_bound.add_argument("--r", type=int, default=3, help="ratio r for GeneralRS (s := n)")
@@ -275,42 +279,39 @@ def _cmd_verify(args) -> int:
 # -- bound rendering -------------------------------------------------------------
 
 
-def _evaluate_named_bound(args, p: int) -> bd.BoundResult:
-    name = bd.BoundName(args.name)
-    n, k, r = args.n, args.k, args.r
-    order = args.order
-    if name is bd.BoundName.AGIEVICH_GENERAL:
-        return bd.agievich_general(n, k, p)
-    if name is bd.BoundName.AGIEVICH_SHIFTED:
-        return bd.agievich_shifted(n, k, p)
-    if name is bd.BoundName.AGIEVICH_CENTRAL:
-        return bd.agievich_central(n, p)
-    if name is bd.BoundName.AGIEVICH_CATALAN:
-        return bd.agievich_catalan(n, p)
-    if name is bd.BoundName.SASVARI_LOWER:
-        return bd.sasvari_pair(n, p)[0]
-    if name is bd.BoundName.SASVARI_UPPER:
-        return bd.sasvari_pair(n, p)[1]
-    if name is bd.BoundName.CENTRAL_ORDER_N:
-        j = 2 if order is None else order
-        return bd.central_lower(n, j, p) if j % 2 else bd.central_upper(n, j, p)
-    if name is bd.BoundName.CATALAN_ORDER_N:
-        return bd.catalan_upper(n, 2 if order is None else order, p)
-    if name is bd.BoundName.GENERAL_RS:
-        return bd.general_rs_bound(r, n, 1 if order is None else order, p)
-    raise ValueError(f"unhandled bound {name}")  # pragma: no cover
+# Each bound name -> (the parameters printed with it, its default --order, its
+# BoundResult at precision p from those parameters), in the parser's order.
+# Every bound is looked up in ``bd`` when it is called, never stored here.
+_BOUNDS = {
+    "AgievichGeneral": (("n", "k"), None, lambda p, n, k: bd.agievich_general(n, k, p)),
+    "AgievichShifted": (("n", "k"), None, lambda p, n, k: bd.agievich_shifted(n, k, p)),
+    "AgievichCentral": (("n",), None, lambda p, n: bd.agievich_central(n, p)),
+    "AgievichCatalan": (("n",), None, lambda p, n: bd.agievich_catalan(n, p)),
+    "SasvariLower": (("n",), None, lambda p, n: bd.central_lower(n, 1, p)),
+    "SasvariUpper": (("n",), None, lambda p, n: bd.central_upper(n, 2, p)),
+    "CentralOrderN": (
+        ("n", "order"),
+        2,
+        lambda p, n, order: (bd.central_lower if order % 2 else bd.central_upper)(n, order, p),
+    ),
+    "CatalanOrderN": (("n", "order"), 2, lambda p, n, order: bd.catalan_upper(n, order, p)),
+    "GeneralRS": (("r", "s", "order"), 1, lambda p, r, s, order: bd.general_rs_bound(r, s, order, p)),
+}
 
 
 def _cmd_bound(args) -> int:
+    keys, default_order, evaluate = _BOUNDS[args.name]
+    order = default_order if args.order is None else args.order  # an explicit 0 stays 0
+    given = {"n": args.n, "s": args.n, "k": args.k, "r": args.r, "order": order}
+    name, params = args.name, {key: given[key] for key in keys}
     evaluated = []  # the result of each precision tried; the last one is reported
 
     def value_at(p: int):
-        evaluated.append(_evaluate_named_bound(args, p))
+        evaluated.append(evaluate(p, **params))
         return evaluated[-1].value
 
     rendered = render_escalating(value_at, args.digits, _policy(args))
-    result = evaluated[-1]
-    name, params, exponent = result.name.value, dict(result.parameters), str(result.exponent)
+    exponent = str(evaluated[-1].exponent)
     doc = {
         "bound": name,
         "parameters": params,
@@ -359,9 +360,11 @@ def _cmd_errata(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+_PARSER = _build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except NeedsMorePrecision as exc:

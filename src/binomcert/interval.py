@@ -420,11 +420,11 @@ def _pi_from_formula(p: int, formula: tuple) -> IntervalReal:
     )
 
 
-def pi(p: int, _formula: tuple = _MACHIN) -> IntervalReal:
+def pi(p: int) -> IntervalReal:
     """Enclosure of pi of width <= 2**(-p+2), from a Machin-style arctan sum."""
     if p < 2:
         raise ValueError("pi: precision must be >= 2")
-    return _pi_from_formula(p, _formula)
+    return _pi_from_formula(p, _MACHIN)
 
 
 # -- exponential ---------------------------------------------------------------

@@ -147,7 +147,7 @@ def dominance_sweep(
             yield n, _exact(bd.tightness_gap(Fraction(n)) > 0), "f(n) <= 0"
         for n in DOMINANCE_SPOT_CHECKS:
             if n_lo <= n <= n_hi:
-                pair = lambda p: (bd.sasvari_pair(n, p)[1].value, bd.agievich_central(n, p).value)
+                pair = lambda p: (bd.central_upper(n, 2, p).value, bd.agievich_central(n, p).value)
                 yield n, _decide_less(pair, policy), "interval route disagrees"
 
     return _report("dominance", n_lo, n_hi, decisions())

@@ -128,7 +128,7 @@ def _cell_makers(table_id: str, n: int):
         return (
             None,
             lambda p: bd.agievich_central(n, p).value,
-            lambda p: bd.sasvari_pair(n, p)[1].value,
+            lambda p: bd.central_upper(n, 2, p).value,
         )
     if table_id == "table2":
         d2 = bd.general_exponent(n, 2, 2)

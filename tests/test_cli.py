@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from binomcert import cli
+from binomcert.sweeps import DEFAULT_ORDERS
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
@@ -73,6 +74,10 @@ def _cases() -> dict[str, str]:
             "usage_bound_n0.md": "bound 0 AgievichCentral",
             "usage_verify_order25.md": "verify --max-n 10 --order 25",
             "usage_bound_order25.md": "bound 10 CentralOrderN --order 25",
+            # an explicit --order 0 is refused, not replaced by the default order
+            "usage_bound_central_order0.md": "bound 10 CentralOrderN --order 0",
+            "usage_bound_catalan_order0.md": "bound 10 CatalanOrderN --order 0",
+            "usage_bound_generalrs_order0.md": "bound 5 GeneralRS --order 0",
             "usage_bound_r1.md": "bound 5 GeneralRS --r 1",
             "usage_bound_generalrs_order11.md": "bound 5 GeneralRS --order 11",
             "usage_catalan_order3.md": "bound 10 CatalanOrderN --order 3",
@@ -140,6 +145,28 @@ def test_verify_jobs_do_not_change_output():
     golden = (GOLDEN / "verify.md.out").read_bytes()
     assert (GOLDEN / "verify_jobs0.md.out").read_bytes() == golden
     assert (GOLDEN / "verify_jobs2.md.out").read_bytes() == golden
+
+
+def test_consecutive_calls_share_no_state(tmp_path):
+    # one parser serves every call; no option of one call may reach the next
+    verify = "verify --max-n 5 --no-timing --format json".split()
+
+    def alternation_proved(argv):
+        checks = json.loads(_run(argv)[1])["checks"]
+        return next(c["proved"] for c in checks if c["check"] == "alternation")
+
+    assert alternation_proved(verify + ["--order", "3"]) == 5
+    assert alternation_proved(verify) == 5 * len(DEFAULT_ORDERS)
+
+    assert _run("bound 10 AgievichShifted --k 3".split())[1].startswith("AgievichShifted(n=10, k=3)\n")
+    assert _run("bound 10 AgievichShifted".split())[1].startswith("AgievichShifted(n=10, k=0)\n")
+
+    target = tmp_path / "payload"
+    argv = CASES["bound_SasvariUpper.md"].split()
+    assert _run(argv + ["--out", str(target)]) == (0, "", "")
+    golden = (GOLDEN / "bound_SasvariUpper.md.out").read_text(encoding="utf-8")
+    assert _run(argv) == (0, golden, "")
+    assert target.read_text(encoding="utf-8") == golden
 
 
 def test_argparse_errors_are_usage_errors():
