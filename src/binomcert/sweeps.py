@@ -8,7 +8,10 @@ guessed from midpoints.
 
 Each sweep is a stream of ``(n, (verdict, width), tag)`` decisions that one
 loop turns into a :class:`SweepReport`.  A comparison whose transcendental
-parts cancel is decided in exact rationals and reported with width 0.
+parts cancel is decided in exact rationals and reported with width 0.  The
+alternation, sandwich and order-2 gap decisions compare exp(D_J(n)) with
+R(n) = C(2n,n) sqrt(pi n)/4^n, the bounds scaled by sqrt(pi n)/4^n: R is
+built once per n and precision, and gap2(n+1) is carried to the next n.
 
 :func:`run_verify` may partition its checks across processes by chunking the
 n-range: every check-chunk task of one run goes through a single process
@@ -25,6 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache, partial
 from itertools import pairwise
 
 from . import bounds as bd
@@ -159,19 +163,25 @@ def alternation_sweep(
     orders: tuple[int, ...] = DEFAULT_ORDERS,
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> SweepReport:
-    """Odd-order truncations below the exact value, even-order above."""
+    """Odd-order truncations below the exact value, even-order above.
+
+    Decided as exp(D_J(n)) < R(n) at odd J and R(n) < exp(D_J(n)) at even J,
+    with R(n) built once per n and precision for all the orders.
+    """
     return _report("alternation", n_lo, n_hi, _alternation(n_lo, n_hi, orders, policy))
 
 
 def _alternation(n_lo: int, n_hi: int, orders: tuple[int, ...], policy: PrecisionPolicy):
     orders = sorted(set(orders))
     for n, b in central_binomials(n_lo, n_hi):
+        ratio = cache(lambda p, n=n, b=b: bd.central_ratio(n, p, b))  # R(n) per precision
         for order in orders:
+            exponent = bd.general_exponent(n, 2, order)
             if order % 2 == 1:
-                pair = lambda p: (bd.central_lower(n, order, p).value, ivl.from_int(b, p))
+                pair = lambda p: (ivl.exp(ivl.from_rational(exponent, p)), ratio(p))
                 yield n, _decide_less(pair, policy), f"lower({order}) !< exact"
             else:
-                pair = lambda p: (ivl.from_int(b, p), bd.central_upper(n, order, p).value)
+                pair = lambda p: (ratio(p), ivl.exp(ivl.from_rational(exponent, p)))
                 yield n, _decide_less(pair, policy), f"exact !< upper({order})"
 
 
@@ -190,15 +200,21 @@ def order_improvement_sweep(
     which evaluates gap2 at n_hi + 1 too.  The two gaps at one n share the
     C(2n,n) sqrt(pi n)/4^n term and exp is monotone, so the first check is
     the exact rational test D4(n) < D2(n) of the truncated exponents.
+    gap2(n) = exp(D2(n)) - R(n) is evaluated once per n and precision: the
+    gap2(n+1) of step n is reused as gap2(n) at step n+1.
     """
     n_lo = max(n_lo, 2)  # ratio gaps below n=2 are outside the monotone regime
 
     def decisions():
         # two binomials at a time: memory stays linear in the range
+        gap2_next = None
         for (n, b), (n1, b1) in pairwise(central_binomials(n_lo, n_hi + 1)):
             d4_below_d2 = bd.general_exponent(n, 2, 4) < bd.general_exponent(n, 2, 2)
             yield n, _exact(d4_below_d2), "gap4 !< gap2"
-            pair = lambda p: (_ratio_gap(n1, 2, b1, p), _ratio_gap(n, 2, b, p))
+            # gap2(n) is the previous step's gap2(n+1), with the precisions it reached
+            gap2 = gap2_next or cache(partial(_ratio_gap, n, 2, b))
+            gap2_next = cache(partial(_ratio_gap, n1, 2, b1))
+            pair = lambda p: (gap2_next(p), gap2(p))
             yield n, _decide_less(pair, policy), "gap2 not decreasing"
 
     return _report("order_improvement", n_lo, n_hi, decisions())

@@ -5,8 +5,10 @@ mpmath for transcendental references, Akiyama-Tanigawa for Bernoulli numbers,
 ``math.comb``/``Fraction`` for exact values.  Two slow routes that the
 package replaced live here too, so a test can check that the fast path agrees
 with them: :func:`reference_exp`, which runs ``interval.exp``'s Taylor sum in
-the package's interval arithmetic, and :func:`reference_round_significant`,
-which rounds to significant digits with exact ``Fraction``s.
+the package's interval arithmetic, :func:`reference_round_significant`,
+which rounds to significant digits with exact ``Fraction``s, and
+:func:`reference_alternation`, which decides the alternation check on whole
+bounds.
 """
 
 import math
@@ -14,6 +16,8 @@ from fractions import Fraction
 
 import mpmath
 
+from binomcert import bounds
+from binomcert.combinatorics import central_binomials
 from binomcert.interval import (
     Dyadic,
     IntervalReal,
@@ -26,6 +30,7 @@ from binomcert.interval import (
     _sub,
     from_int,
 )
+from binomcert.sweeps import _decide_less
 
 ORACLE_BITS = 400
 
@@ -176,3 +181,22 @@ def reference_round_significant(x: Fraction, digits: int) -> str:
     if e >= 0:
         return s[: e + 1] + "." + s[e + 1 :]
     return "0." + "0" * (-e - 1) + s
+
+
+# -- reference alternation: whole bounds against the exact binomial --------------
+
+
+def reference_alternation(n_lo, n_hi, orders, policy):
+    """``sweeps._alternation`` on the bound route it took before the ratio
+    route: each decision builds the whole order-J bound 4^n/sqrt(pi n) *
+    exp(D_J(n)) and compares it with C(2n, n).  Yields the same
+    ``(n, (verdict, width), tag)`` decisions."""
+    orders = sorted(set(orders))
+    for n, b in central_binomials(n_lo, n_hi):
+        for order in orders:
+            if order % 2 == 1:
+                pair = lambda p: (bounds.central_lower(n, order, p).value, from_int(b, p))
+                yield n, _decide_less(pair, policy), f"lower({order}) !< exact"
+            else:
+                pair = lambda p: (from_int(b, p), bounds.central_upper(n, order, p).value)
+                yield n, _decide_less(pair, policy), f"exact !< upper({order})"

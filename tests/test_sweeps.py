@@ -14,6 +14,7 @@ from binomcert.sweeps import (
     run_verify,
     sandwich_sweep,
 )
+from helpers import reference_alternation
 
 TINY = PrecisionPolicy(4, 4)
 
@@ -171,6 +172,78 @@ def test_order_gap_rational_verdict_matches_interval_route():
         )
         assert bounds.general_exponent(n, 2, 4) < bounds.general_exponent(n, 2, 2)
         assert interval_verdict == "proved", n
+
+
+def _verdicts(decisions):
+    return [(n, verdict, tag) for n, (verdict, _width), tag in decisions]
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(1, 300), (10_000, 10_003)])
+def test_ratio_route_alternation_matches_bound_route(n_lo, n_hi):
+    # exp(D_J(n)) against R(n) = C(2n,n) sqrt(pi n)/4^n is the bound
+    # 4^n/sqrt(pi n) exp(D_J(n)) against C(2n,n), scaled by sqrt(pi n)/4^n
+    orders = range(1, 7)
+    ratio = _verdicts(sweeps._alternation(n_lo, n_hi, orders, DEFAULT_POLICY))
+    reference = _verdicts(reference_alternation(n_lo, n_hi, orders, DEFAULT_POLICY))
+    assert len(ratio) == 6 * (n_hi - n_lo + 1)
+    assert ratio == reference
+
+
+@pytest.mark.parametrize("policy", [TINY, PrecisionPolicy(16, 32)])
+def test_ratio_route_alternation_agrees_when_starved(policy):
+    # the ratio route may decide more instances, never a different verdict
+    ratio = _verdicts(sweeps._alternation(1, 60, range(1, 7), policy))
+    reference = _verdicts(reference_alternation(1, 60, range(1, 7), policy))
+    decided = [(r, ref) for r, ref in zip(ratio, reference) if ref[1] != "undecided"]
+    assert all(r == ref for r, ref in decided)
+    assert all(verdict != "failed" for _, verdict, _ in ratio)
+    if policy is not TINY:
+        assert decided  # not vacuous: the reference decides some at 16-32 bits
+
+
+def _counting_ratio_gap(monkeypatch):
+    calls = []
+    ratio_gap = sweeps._ratio_gap
+
+    def counting(n, order, b, p):
+        calls.append((n, order, p))
+        return ratio_gap(n, order, b, p)
+
+    monkeypatch.setattr(sweeps, "_ratio_gap", counting)
+    return calls
+
+
+def test_order_improvement_evaluates_each_gap_once(monkeypatch):
+    calls = _counting_ratio_gap(monkeypatch)
+    rep = order_improvement_sweep(100, 199)
+    assert rep.proved == 200
+    # gap2(n+1) of step n is reused as gap2(n) of step n+1: n = 100..200 at p = 64
+    assert len(calls) == 101
+    assert sorted(set(calls)) == [(n, 2, 64) for n in range(100, 201)]
+
+
+def _rebuilt_order_improvement(n_lo, n_hi, policy):
+    """order_improvement_sweep with both gaps rebuilt for every decision."""
+
+    def decisions():
+        for n in range(n_lo, n_hi + 1):
+            b, b1 = central_binomial(n), central_binomial(n + 1)
+            d4_below_d2 = bounds.general_exponent(n, 2, 4) < bounds.general_exponent(n, 2, 2)
+            yield n, sweeps._exact(d4_below_d2), "gap4 !< gap2"
+            pair = lambda p: (sweeps._ratio_gap(n + 1, 2, b1, p), sweeps._ratio_gap(n, 2, b, p))
+            yield n, sweeps._decide_less(pair, policy), "gap2 not decreasing"
+
+    return sweeps._report("order_improvement", n_lo, n_hi, decisions())
+
+
+def test_order_improvement_carry_matches_rebuilt_gaps():
+    # several precision rounds per decision: the carried gap2(n) must be
+    # gap2 at n itself, not at the n its step has moved on to
+    policy = PrecisionPolicy(16, 1024)
+    carried = _strip_timing(order_improvement_sweep(2, 200, policy))
+    rebuilt = _strip_timing(_rebuilt_order_improvement(2, 200, policy))
+    assert (carried["proved"], carried["failed"], carried["undecided"]) == (398, 0, 0)
+    assert carried == rebuilt
 
 
 def test_merged_requires_same_check():
