@@ -201,7 +201,7 @@ def test_ratio_route_alternation_agrees_when_starved(policy):
         assert decided  # not vacuous: the reference decides some at 16-32 bits
 
 
-def _counting_ratio_gap(monkeypatch):
+def test_order_improvement_evaluates_each_gap_once(monkeypatch):
     calls = []
     ratio_gap = sweeps._ratio_gap
 
@@ -210,11 +210,6 @@ def _counting_ratio_gap(monkeypatch):
         return ratio_gap(n, order, b, p)
 
     monkeypatch.setattr(sweeps, "_ratio_gap", counting)
-    return calls
-
-
-def test_order_improvement_evaluates_each_gap_once(monkeypatch):
-    calls = _counting_ratio_gap(monkeypatch)
     rep = order_improvement_sweep(100, 199)
     assert rep.proved == 200
     # gap2(n+1) of step n is reused as gap2(n) of step n+1: n = 100..200 at p = 64
