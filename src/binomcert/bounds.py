@@ -218,7 +218,7 @@ def central_ratio(n: int, p: int = 64, binom_value: int | None = None) -> Interv
     _require_positive(n)
     if binom_value is None:
         binom_value = central_binomial(n)
-    root = ivl.sqrt(ivl.from_rational(Fraction(1), p) * ivl.pi(p) * ivl.from_int(n, p))
+    root = ivl.sqrt(ivl.pi(p) * ivl.from_int(n, p))
     return ivl.from_int(binom_value, p) * root * ivl.exact_pow2(-2 * n, p)
 
 

@@ -8,6 +8,10 @@ outward -- lo toward -inf, hi toward +inf -- to the working precision.
 Dyadic endpoints keep outward rounding a pair of bit shifts, where rational
 endpoints would pay a gcd normalization per operation.
 
+Operand contract: products and quotients take positive enclosures (lo > 0),
+one outward-rounded formula each, and refuse others with ``ValueError``;
+differences and comparisons take any sign.
+
 Width contract: each primitive rounds each endpoint outward by at most one
 unit in the last place, and sqrt, exp and pi carry explicit truncation
 bounds (exp's is proved in its docstring), so for the compositions used in
@@ -60,11 +64,6 @@ class Dyadic(NamedTuple):
 
     man: int
     exp: int
-
-    def as_fraction(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(self.man << self.exp)
-        return Fraction(self.man, 1 << -self.exp)
 
     def to_float(self) -> float:
         """Nearest float, saturating to +-inf far outside float range."""
@@ -156,6 +155,8 @@ class IntervalReal:
     ``prec`` is the working precision: the bit budget operations round their
     *results* to.  Endpoints themselves may carry more bits (exact integers
     are stored unrounded so comparisons against them stay exact).
+
+    ``*`` and ``/`` need lo > 0 on both operands; ``-`` takes any sign.
     """
 
     lo: Dyadic
@@ -173,35 +174,10 @@ class IntervalReal:
     def width(self) -> Dyadic:
         return Dyadic(*_norm(*_sub(self.hi, self.lo)))
 
-    def rel_width(self) -> float:
-        """Width divided by the smaller endpoint magnitude, as a float.
-
-        Computed from mantissa ratio and exponent difference so it stays
-        finite even when the endpoints themselves overflow floats.
-        """
-        a = Dyadic(abs(self.lo.man), self.lo.exp)
-        b = Dyadic(abs(self.hi.man), self.hi.exp)
-        return _dyadic_ratio(self.width(), a if _cmp(a, b) <= 0 else b)
-
-    def contains(self, q: Fraction | int) -> bool:
-        q = Fraction(q)
-        return self.lo.as_fraction() <= q <= self.hi.as_fraction()
-
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
     def __repr__(self) -> str:
         return f"IntervalReal[{self.lo.to_float()!r}, {self.hi.to_float()!r}; p={self.prec}]"
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "IntervalReal") -> "IntervalReal":
-        p = max(self.prec, other.prec)
-        return IntervalReal(
-            _round(*_add(self.lo, other.lo), p, False),
-            _round(*_add(self.hi, other.hi), p, True),
-            p,
-        )
 
     def __sub__(self, other: "IntervalReal") -> "IntervalReal":
         p = max(self.prec, other.prec)
@@ -211,65 +187,34 @@ class IntervalReal:
             p,
         )
 
-    def __neg__(self) -> "IntervalReal":
+    def __mul__(self, other: "IntervalReal") -> "IntervalReal":
+        _require_positive(self, other)
+        p = max(self.prec, other.prec)
+        if other.lo == other.hi == _ONE:  # exact identity keeps the other's unrounded endpoints
+            return self if self.prec == p else IntervalReal(self.lo, self.hi, p)
+        if self.lo == self.hi == _ONE:
+            return other if other.prec == p else IntervalReal(other.lo, other.hi, p)
         return IntervalReal(
-            Dyadic(-self.hi.man, self.hi.exp), Dyadic(-self.lo.man, self.lo.exp), self.prec
+            _round(*_mul(self.lo, other.lo), p, False), _round(*_mul(self.hi, other.hi), p, True), p
         )
 
-    def __mul__(self, other: "IntervalReal") -> "IntervalReal":
-        p = max(self.prec, other.prec)
-        _one = Dyadic(1, 0)
-        if other.lo == other.hi == _one:  # exact multiplicative identity
-            return self if self.prec == p else IntervalReal(self.lo, self.hi, p)
-        if self.lo == self.hi == _one:
-            return other if other.prec == p else IntervalReal(other.lo, other.hi, p)
-        if other.lo == other.hi:  # exact scalar: two products suffice
-            a = Dyadic(*_norm(*_mul(self.lo, other.lo)))
-            b = Dyadic(*_norm(*_mul(self.hi, other.lo)))
-            if _cmp(a, b) > 0:
-                a, b = b, a
-            return IntervalReal(_round(*a, p, False), _round(*b, p, True), p)
-        if self.lo == self.hi:
-            return other * self
-        cands = [
-            Dyadic(*_norm(*_mul(a, b)))
-            for a in (self.lo, self.hi)
-            for b in (other.lo, other.hi)
-        ]
-        lo = hi = cands[0]
-        for c in cands[1:]:
-            if _cmp(c, lo) < 0:
-                lo = c
-            if _cmp(c, hi) > 0:
-                hi = c
-        return IntervalReal(_round(*lo, p, False), _round(*hi, p, True), p)
-
     def __truediv__(self, other: "IntervalReal") -> "IntervalReal":
+        _require_positive(self, other)
         p = max(self.prec, other.prec)
-        if other.lo.man <= 0 <= other.hi.man:
-            raise ZeroDivisionError("interval division: divisor encloses zero")
-        if other.lo == other.hi:  # exact divisor
-            a, b = self.lo, self.hi
-            if other.lo.man < 0:
-                a, b = b, a
-            return IntervalReal(_div(a, other.lo, p, False), _div(b, other.lo, p, True), p)
-        los = [_div(a, b, p, False) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        his = [_div(a, b, p, True) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        lo, hi = los[0], his[0]
-        for c in los[1:]:
-            if _cmp(c, lo) < 0:
-                lo = c
-        for c in his[1:]:
-            if _cmp(c, hi) > 0:
-                hi = c
-        return IntervalReal(_round(*lo, p, False), _round(*hi, p, True), p)
+        return IntervalReal(
+            _round(*_div(self.lo, other.hi, p, False), p, False),
+            _round(*_div(self.hi, other.lo, p, True), p, True),
+            p,
+        )
 
-    # -- set operations -----------------------------------------------------
 
-    def hull(self, other: "IntervalReal") -> "IntervalReal":
-        lo = self.lo if _cmp(self.lo, other.lo) <= 0 else other.lo
-        hi = self.hi if _cmp(self.hi, other.hi) >= 0 else other.hi
-        return IntervalReal(lo, hi, max(self.prec, other.prec))
+_ONE = Dyadic(1, 0)
+
+
+def _require_positive(a: IntervalReal, b: IntervalReal) -> None:
+    """The soundness condition of the one-formula product and quotient."""
+    if a.lo.man <= 0 or b.lo.man <= 0:
+        raise ValueError("interval product or quotient: operands must be positive")
 
 
 def _dyadic_ratio(num: Dyadic, den: Dyadic) -> float:
@@ -482,10 +427,10 @@ def exp(a: IntervalReal) -> IntervalReal:
     Argument reduction writes a = k/2 + r, with k the integer nearest to
     a.lo + a.hi, against a cached enclosure of exp(1/2), so no certified
     log 2 is needed.  When some |r| exceeds 1/2 the input is wide, and the
-    result is the hull of the images of its two endpoints (exp is
-    monotone).  Otherwise each endpoint of exp([r_lo, r_hi]) is one
-    fixed-point Taylor sum (Brent & Zimmermann, *Modern Computer
-    Arithmetic*, ch. 4):
+    result runs from the lower end of exp(a.lo) to the upper end of
+    exp(a.hi), since exp is monotone.  Otherwise each endpoint of
+    exp([r_lo, r_hi]) is one fixed-point Taylor sum (Brent & Zimmermann,
+    *Modern Computer Arithmetic*, ch. 4):
 
     *Claim.* For |x| <= 1/2, :func:`_exp_endpoint` returns a dyadic below
     exp(x), or above it when ``up``.
@@ -519,8 +464,8 @@ def exp(a: IntervalReal) -> IntervalReal:
     r_lo = _round(*_sub(a.lo, half_k), p + 16, False)
     r_hi = _round(*_sub(a.hi, half_k), p + 16, True)
     if _cmp(r_lo, Dyadic(-1, -1)) < 0 or _cmp(r_hi, _HALF) > 0:
-        # wide input: exp is monotone, take the hull of the endpoint images
-        return exp(IntervalReal(a.lo, a.lo, p)).hull(exp(IntervalReal(a.hi, a.hi, p)))
+        # wide input: exp is monotone, so the endpoint images bound it
+        return IntervalReal(exp(IntervalReal(a.lo, a.lo, p)).lo, exp(IntervalReal(a.hi, a.hi, p)).hi, p)
     scaled = IntervalReal(_exp_endpoint(r_lo, p + 8, False), _exp_endpoint(r_hi, p + 8, True), p + 8)
     if k:
         powed = _pow_pos(_exp_half(p + 16), abs(k), p + 8)

@@ -2,13 +2,20 @@
 
 The oracles are deliberately independent of the package's own arithmetic:
 mpmath for transcendental references, Akiyama-Tanigawa for Bernoulli numbers,
-``math.comb``/``Fraction`` for exact values.  Two slow routes that the
-package replaced live here too, so a test can check that the fast path agrees
-with them: :func:`reference_exp`, which runs ``interval.exp``'s Taylor sum in
-the package's interval arithmetic, :func:`reference_round_significant`,
-which rounds to significant digits with exact ``Fraction``s, and
+``math.comb``/``Fraction`` for exact values.  Slow routes that the package
+replaced live here too, so a test can check that the fast path agrees with
+them: :func:`reference_mul` and :func:`reference_div`, the general
+sign-case interval product and quotient (R. E. Moore, *Interval Analysis*,
+1966) that ``IntervalReal``'s one-formula positive ones replaced,
+:func:`reference_exp`, which runs ``interval.exp``'s Taylor sum in interval
+arithmetic on those two, :func:`reference_round_significant`, which rounds
+to significant digits with exact ``Fraction``s, and
 :func:`reference_alternation`, which decides the alternation check on whole
 bounds.
+
+The interval inspections only tests use are plain functions here:
+:func:`as_fraction` of a ``Dyadic``, and :func:`rel_width`,
+:func:`contains` and :func:`is_exact` of an ``IntervalReal``.
 """
 
 import math
@@ -23,6 +30,9 @@ from binomcert.interval import (
     IntervalReal,
     _add,
     _cmp,
+    _div,
+    _dyadic_ratio,
+    _mul,
     _norm,
     _pow_pos,
     _round,
@@ -56,8 +66,98 @@ def oracle_bracket(x: "mpmath.mpf", bits: int = ORACLE_BITS) -> tuple[Fraction, 
 def assert_encloses(iv, x: "mpmath.mpf") -> None:
     """The interval must contain the oracle value (up to oracle quantization)."""
     lo, hi = oracle_bracket(x)
-    assert iv.lo.as_fraction() <= hi, f"{iv} entirely above oracle {x}"
-    assert lo <= iv.hi.as_fraction(), f"{iv} entirely below oracle {x}"
+    assert as_fraction(iv.lo) <= hi, f"{iv} entirely above oracle {x}"
+    assert lo <= as_fraction(iv.hi), f"{iv} entirely below oracle {x}"
+
+
+# -- interval inspection ----------------------------------------------------------
+
+
+def as_fraction(d: Dyadic) -> Fraction:
+    """Exact rational value of a dyadic."""
+    if d.exp >= 0:
+        return Fraction(d.man << d.exp)
+    return Fraction(d.man, 1 << -d.exp)
+
+
+def contains(iv: IntervalReal, q: Fraction | int) -> bool:
+    q = Fraction(q)
+    return as_fraction(iv.lo) <= q <= as_fraction(iv.hi)
+
+
+def is_exact(iv: IntervalReal) -> bool:
+    return iv.lo == iv.hi
+
+
+def rel_width(iv: IntervalReal) -> float:
+    """Width divided by the smaller endpoint magnitude, as a float.
+
+    Computed from mantissa ratio and exponent difference so it stays
+    finite even when the endpoints themselves overflow floats.
+    """
+    a = Dyadic(abs(iv.lo.man), iv.lo.exp)
+    b = Dyadic(abs(iv.hi.man), iv.hi.exp)
+    return _dyadic_ratio(iv.width(), a if _cmp(a, b) <= 0 else b)
+
+
+# -- reference product and quotient: every sign case --------------------------------
+
+
+def reference_mul(a: IntervalReal, b: IntervalReal) -> IntervalReal:
+    """``IntervalReal.__mul__`` before the positive-operand contract: the
+    exact-one and exact-scalar shortcuts, then the min and max of the four
+    endpoint products, for operands of any sign."""
+    p = max(a.prec, b.prec)
+    one = Dyadic(1, 0)
+    if b.lo == b.hi == one:
+        return a if a.prec == p else IntervalReal(a.lo, a.hi, p)
+    if a.lo == a.hi == one:
+        return b if b.prec == p else IntervalReal(b.lo, b.hi, p)
+    if b.lo == b.hi:
+        lo = Dyadic(*_norm(*_mul(a.lo, b.lo)))
+        hi = Dyadic(*_norm(*_mul(a.hi, b.lo)))
+        if _cmp(lo, hi) > 0:
+            lo, hi = hi, lo
+        return IntervalReal(_round(*lo, p, False), _round(*hi, p, True), p)
+    if a.lo == a.hi:
+        return reference_mul(b, a)
+    cands = [Dyadic(*_norm(*_mul(x, y))) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    lo = hi = cands[0]
+    for c in cands[1:]:
+        if _cmp(c, lo) < 0:
+            lo = c
+        if _cmp(c, hi) > 0:
+            hi = c
+    return IntervalReal(_round(*lo, p, False), _round(*hi, p, True), p)
+
+
+def reference_div(a: IntervalReal, b: IntervalReal) -> IntervalReal:
+    """``IntervalReal.__truediv__`` before the positive-operand contract: an
+    unrounded quotient by an exact divisor, else the min and max of the four
+    endpoint quotients, for a divisor of either sign."""
+    p = max(a.prec, b.prec)
+    if b.lo.man <= 0 <= b.hi.man:
+        raise ZeroDivisionError("interval division: divisor encloses zero")
+    if b.lo == b.hi:
+        lo, hi = a.lo, a.hi
+        if b.lo.man < 0:
+            lo, hi = hi, lo
+        return IntervalReal(_div(lo, b.lo, p, False), _div(hi, b.lo, p, True), p)
+    los = [_div(x, y, p, False) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    his = [_div(x, y, p, True) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    lo, hi = los[0], his[0]
+    for c in los[1:]:
+        if _cmp(c, lo) < 0:
+            lo = c
+    for c in his[1:]:
+        if _cmp(c, hi) > 0:
+            hi = c
+    return IntervalReal(_round(*lo, p, False), _round(*hi, p, True), p)
+
+
+def _reference_add(a: IntervalReal, b: IntervalReal) -> IntervalReal:
+    p = max(a.prec, b.prec)
+    return IntervalReal(_round(*_add(a.lo, b.lo), p, False), _round(*_add(a.hi, b.hi), p, True), p)
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -120,8 +220,8 @@ def _exp_taylor(r: IntervalReal, p: int) -> IntervalReal:
     term = one
     acc = one
     for k in range(1, n_terms + 1):
-        term = term * rr / from_int(k, wp)
-        acc = acc + term
+        term = reference_div(reference_mul(term, rr), from_int(k, wp))
+        acc = _reference_add(acc, term)
     tail = Dyadic(1, -(p + 4))
     return IntervalReal(
         _round(*_sub(acc.lo, tail), p, False), _round(*_add(acc.hi, tail), p, True), p
@@ -131,7 +231,7 @@ def _exp_taylor(r: IntervalReal, p: int) -> IntervalReal:
 def reference_exp(a: IntervalReal) -> IntervalReal:
     """``interval.exp`` on a narrow input, with its core exp(r) and its
     exp(1/2) from :func:`_exp_taylor`: the same argument reduction and the
-    same roundings as the fast path."""
+    same roundings as the fast path, on the reference product and quotient."""
     p = a.prec
     k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))
     half_k = Dyadic(k, -1)
@@ -147,7 +247,7 @@ def reference_exp(a: IntervalReal) -> IntervalReal:
         h = Dyadic(1, -1)
         half = _exp_taylor(IntervalReal(h, h, p + 16), p + 16)
         powed = _pow_pos(half, abs(k), p + 8)
-        scaled = core * powed if k > 0 else core / powed
+        scaled = reference_mul(core, powed) if k > 0 else reference_div(core, powed)
     return IntervalReal(_round(*scaled.lo, p, False), _round(*scaled.hi, p, True), p)
 
 

@@ -29,11 +29,18 @@ from binomcert.interval import (
 from binomcert.interval import _HUTTON, _pi_from_formula  # a second, structurally different pi series
 from binomcert.interval import _exp_endpoint
 from binomcert.bounds import general_exponent
-from helpers import assert_encloses, oracle_bracket, reference_exp, reference_round_significant
-
-
-def frac(iv_dyadic: Dyadic) -> Fraction:
-    return iv_dyadic.as_fraction()
+from helpers import (
+    as_fraction as frac,
+    assert_encloses,
+    contains,
+    is_exact,
+    oracle_bracket,
+    reference_div,
+    reference_exp,
+    reference_mul,
+    reference_round_significant,
+    rel_width,
+)
 
 
 # -- construction ---------------------------------------------------------------
@@ -42,7 +49,7 @@ def frac(iv_dyadic: Dyadic) -> Fraction:
 def test_from_rational_dyadic_is_exact():
     for q in (Fraction(1, 2), Fraction(-1, 8), Fraction(5), Fraction(0), Fraction(-9, 4)):
         iv = from_rational(q, 16)
-        assert iv.is_exact()
+        assert is_exact(iv)
         assert frac(iv.lo) == q
 
 
@@ -57,7 +64,7 @@ def test_from_rational_random_containment():
     for _ in range(2000):
         q = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
         iv = from_rational(q, 64)
-        assert iv.contains(q)
+        assert contains(iv, q)
         assert frac(iv.hi) - frac(iv.lo) <= (abs(q) + Fraction(1)) / 2**62
 
 
@@ -82,22 +89,19 @@ def test_interval_validation():
     ],
 )
 def test_rel_width_pinned(lo, hi, expected):
-    assert IntervalReal(lo, hi, 64).rel_width() == expected
+    assert rel_width(IntervalReal(lo, hi, 64)) == expected
 
 
 # -- field operations -------------------------------------------------------------
 
 
-def test_add_exact():
-    s = from_int(1, 53) + from_int(2, 53)
-    assert s.is_exact() and frac(s.lo) == 3
-
-
-def test_mul_spans_sign_change():
+def test_mul_positive_endpoints():
     a = IntervalReal(Dyadic(1, 0), Dyadic(1, 1), 53)  # [1, 2]
-    b = IntervalReal(Dyadic(-1, 0), Dyadic(1, 0), 53)  # [-1, 1]
+    b = IntervalReal(Dyadic(3, 0), Dyadic(1, 2), 53)  # [3, 4]
     m = a * b
-    assert frac(m.lo) <= -2 and frac(m.hi) >= 2
+    assert (frac(m.lo), frac(m.hi)) == (3, 8)
+    m = a * from_int(3, 53)
+    assert (frac(m.lo), frac(m.hi)) == (3, 6)
 
 
 def test_mul_by_exact_one_is_identity():
@@ -107,17 +111,79 @@ def test_mul_by_exact_one_is_identity():
 
 
 def test_division_by_zero_interval():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="positive"):
         from_int(1, 53) / IntervalReal(Dyadic(-1, -20), Dyadic(1, -20), 53)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="positive"):
         from_int(1, 53) / from_int(0, 53)
+
+
+_NONPOSITIVE = [
+    from_int(0, 53),
+    from_int(-3, 53),
+    IntervalReal(Dyadic(-1, -20), Dyadic(1, -20), 53),  # straddles zero
+    IntervalReal(Dyadic(0, 0), Dyadic(1, 0), 53),  # touches zero
+    IntervalReal(Dyadic(-5, 0), Dyadic(-1, 0), 53),
+]
+
+
+@pytest.mark.parametrize("bad", _NONPOSITIVE)
+def test_mul_div_refuse_nonpositive_operands(bad):
+    for good in (from_int(2, 53), from_int(1, 53), pi(53)):
+        for op in (lambda x, y: x * y, lambda x, y: x / y):
+            with pytest.raises(ValueError, match="positive"):
+                op(good, bad)
+            with pytest.raises(ValueError, match="positive"):
+                op(bad, good)
+    assert frac((bad - from_int(1, 53)).hi) == frac(bad.hi) - 1  # - takes any sign
 
 
 def test_division_values():
     q = from_int(10, 64) / from_int(4, 64)
-    assert q.contains(Fraction(5, 2))
-    q = from_int(-9, 64) / from_int(2, 64)
-    assert q.contains(Fraction(-9, 2))
+    assert contains(q, Fraction(5, 2))
+    q = from_int(9, 64) / from_int(2, 64)
+    assert contains(q, Fraction(9, 2))
+    q = from_int(1, 64) / from_int(3, 64)
+    assert frac(q.lo) < Fraction(1, 3) < frac(q.hi)
+    assert abs(q.lo.man).bit_length() <= 64 and abs(q.hi.man).bit_length() <= 64
+
+
+def test_mul_div_agree_with_reference_routes():
+    """On positive operands the one-formula product is the sign-case
+    product Dyadic for Dyadic, and so is the quotient unless the divisor is
+    exact: there the reference keeps its unrounded p + 2 or p + 3 bits, and
+    the quotient is that rounded outward to p bits."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    precs = st.sampled_from((2, 3, 16, 64, 512))
+
+    @st.composite
+    def positive(draw):
+        p = draw(precs)
+        kind = draw(st.sampled_from(("one", "point", "narrow", "wide")))
+        if kind == "one":
+            return from_int(1, p)
+        lo = interval.dyadic(draw(st.integers(1, 2**600)), draw(st.integers(-700, 700)))
+        if kind == "point":
+            return IntervalReal(lo, lo, p)
+        bits = draw(st.integers(0, 8) if kind == "narrow" else st.integers(9, 700))
+        w = interval.dyadic(draw(st.integers(1, 2**bits)), lo.exp)
+        hi = interval.dyadic(*interval._add(lo, w))
+        return IntervalReal(lo, hi, p)
+
+    @hypothesis.settings(max_examples=1500, deadline=None)
+    @hypothesis.given(positive(), positive())
+    @hypothesis.example(pi(64), from_int(1, 64))  # keeps pi's unrounded endpoints
+    @hypothesis.example(from_int(1, 2), pi(512))
+    def check(a, b):
+        assert a * b == reference_mul(a, b)
+        ref = reference_div(a, b)
+        if b.lo == b.hi:
+            p = ref.prec
+            lo, hi = interval._round(*ref.lo, p, False), interval._round(*ref.hi, p, True)
+            ref = IntervalReal(lo, hi, p)
+        assert a / b == ref
+
+    check()
 
 
 def test_composed_containment_100k_points():
@@ -125,12 +191,12 @@ def test_composed_containment_100k_points():
     # route must always enclose the exact rational evaluation
     rng = random.Random(20260811)
     for _ in range(100_000):
-        a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        a = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        b = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
         c = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
         ia, ib, ic = (from_rational(x, 64) for x in (a, b, c))
-        iv = (ia + ib) * ic - ia / ic
-        assert iv.contains((a + b) * c - a / c)
+        iv = (ia / ib) * ic - ia / ic
+        assert contains(iv, (a / b) * c - a / c)
 
 
 def test_monotone_refinement():
@@ -140,8 +206,8 @@ def test_monotone_refinement():
         a = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
         b = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
         for p in (16, 32, 64):
-            lo_p = sqrt(from_rational(a, p) * pi(p)) + exp(from_rational(-b / (b + 1), p))
-            lo_2p = sqrt(from_rational(a, 2 * p) * pi(2 * p)) + exp(
+            lo_p = sqrt(from_rational(a, p) * pi(p)) - exp(from_rational(-b / (b + 1), p))
+            lo_2p = sqrt(from_rational(a, 2 * p) * pi(2 * p)) - exp(
                 from_rational(-b / (b + 1), 2 * p)
             )
             assert frac(lo_p.lo) <= frac(lo_2p.lo) <= frac(lo_2p.hi) <= frac(lo_p.hi)
@@ -151,7 +217,7 @@ def test_monotone_refinement():
 
 
 def test_sqrt_examples():
-    assert sqrt(from_int(4, 64)).is_exact()
+    assert is_exact(sqrt(from_int(4, 64)))
     assert frac(sqrt(from_int(4, 64)).lo) == 2
     assert frac(sqrt(from_int(0, 64)).lo) == 0
     s = sqrt(from_int(2, 64))
@@ -177,7 +243,7 @@ def test_sqrt_square_encloses_input():
 
 def test_exp_zero_is_exact_one():
     e0 = exp(from_int(0, 64))
-    assert e0.is_exact() and frac(e0.lo) == 1
+    assert is_exact(e0) and frac(e0.lo) == 1
 
 
 def test_exp_one_encloses_e():
@@ -206,18 +272,17 @@ def test_exp_sound_across_domain(q):
     iv = exp(from_rational(q, 80))
     assert_encloses(iv, mpmath.exp(mpmath.mpf(q.numerator) / q.denominator))
     assert iv.lo.man > 0  # exp is positive
-    assert iv.rel_width() < 2**-70
+    assert rel_width(iv) < 2**-70
 
 
 def test_exp_product_identity_never_refuted():
     prev_width = None
     for p in (32, 64, 128, 256):
-        a = from_rational(Fraction(7, 13), p)
-        prod = exp(a) * exp(-a)
+        prod = exp(from_rational(Fraction(7, 13), p)) * exp(from_rational(Fraction(-7, 13), p))
         one = from_int(1, p)
         assert certainly_less(prod, one) is not TriState.NO
         assert certainly_less(one, prod) is not TriState.NO
-        assert prod.contains(1)
+        assert contains(prod, 1)
         w = frac(prod.hi) - frac(prod.lo)
         if prev_width is not None:
             assert w < prev_width
@@ -226,7 +291,8 @@ def test_exp_product_identity_never_refuted():
 
 def test_exp_wide_interval_hull():
     for lo, hi in ((-2, 3), (-200, 200), (-3, -0.25), (0.25, 7)):
-        iv = exp(from_rational(Fraction(lo), 64).hull(from_rational(Fraction(hi), 64)))
+        a = IntervalReal(from_rational(Fraction(lo), 64).lo, from_rational(Fraction(hi), 64).hi, 64)
+        iv = exp(a)
         assert_encloses(iv, mpmath.exp(lo))
         assert_encloses(iv, mpmath.exp(hi))
 
@@ -251,7 +317,7 @@ def test_exp_endpoint_brackets_oracle():
     )
     def check(man_exp, p, up):
         x = Dyadic(*man_exp)  # |x| <= 1/2
-        lo, hi = _exp_bracket(x.as_fraction())
+        lo, hi = _exp_bracket(frac(x))
         got = _exp_endpoint(x, p, up)
         assert frac(got) >= lo if up else frac(got) <= hi
         assert abs(got.man).bit_length() <= p
@@ -434,7 +500,7 @@ def test_render_agrees_with_reference_route():
     )
     def dyadics(man, e, digits):
         d = Dyadic(man, e)
-        expected = reference_round_significant(d.as_fraction(), digits)
+        expected = reference_round_significant(frac(d), digits)
         assert render_significant(_point(d), digits) == expected
 
     @hypothesis.settings(max_examples=400, deadline=None)
@@ -464,8 +530,8 @@ def test_render_powers_of_ten_and_neighbours():
 def test_render_large_bound_matches_reference():
     iv = bd.sasvari_pair(30000, 64)[1].value
     for digits in (10, 14):
-        lo = reference_round_significant(iv.lo.as_fraction(), digits)
-        assert reference_round_significant(iv.hi.as_fraction(), digits) == lo
+        lo = reference_round_significant(frac(iv.lo), digits)
+        assert reference_round_significant(frac(iv.hi), digits) == lo
         assert render_significant(iv, digits) == lo
 
 
@@ -475,14 +541,13 @@ def test_render_path_builds_no_fraction(monkeypatch):
         "bound at n = 26000": lambda p: bd.sasvari_pair(26000, p)[1].value,
     }
     expected = {
-        what: reference_round_significant(make(64).lo.as_fraction(), 10)
+        what: reference_round_significant(frac(make(64).lo), 10)
         for what, make in makers.items()
     }
 
     def refuse(*args):
         raise AssertionError("the render path built a Fraction")
 
-    monkeypatch.setattr(Dyadic, "as_fraction", refuse)
     monkeypatch.setattr(interval, "Fraction", refuse)
     for what, make in makers.items():
         assert render_significant(make(64), 10) == expected[what], what
@@ -556,7 +621,7 @@ def test_width_slack_of_artifact_compositions():
             bound = (from_rational(Fraction(4) ** n, p) / root) * exp(
                 from_rational(Fraction(-1, 8 * n), p)
             )
-            assert bound.rel_width() <= 2.0 ** (-p + 8)
+            assert rel_width(bound) <= 2.0 ** (-p + 8)
 
 
 def test_precision_policy():
