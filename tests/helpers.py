@@ -70,7 +70,7 @@ def assert_encloses(iv, x: "mpmath.mpf") -> None:
     assert lo <= as_fraction(iv.hi), f"{iv} entirely below oracle {x}"
 
 
-# -- interval inspection ----------------------------------------------------------
+# -- interval inspection ---------------------------------------------------------
 
 
 def as_fraction(d: Dyadic) -> Fraction:
@@ -100,7 +100,20 @@ def rel_width(iv: IntervalReal) -> float:
     return _dyadic_ratio(iv.width(), a if _cmp(a, b) <= 0 else b)
 
 
-# -- reference product and quotient: every sign case --------------------------------
+def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
+    """B_0..B_n by the Akiyama-Tanigawa triangle (B_1 = +1/2 convention;
+    even-index values coincide with the generating-function convention)."""
+    row = [Fraction(0)] * (n + 1)
+    out = []
+    for m in range(n + 1):
+        row[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    return out
+
+
+# -- reference product and quotient: every sign case -----------------------------
 
 
 def reference_mul(a: IntervalReal, b: IntervalReal) -> IntervalReal:
@@ -158,19 +171,6 @@ def reference_div(a: IntervalReal, b: IntervalReal) -> IntervalReal:
 def _reference_add(a: IntervalReal, b: IntervalReal) -> IntervalReal:
     p = max(a.prec, b.prec)
     return IntervalReal(_round(*_add(a.lo, b.lo), p, False), _round(*_add(a.hi, b.hi), p, True), p)
-
-
-def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
-    """B_0..B_n by the Akiyama-Tanigawa triangle (B_1 = +1/2 convention;
-    even-index values coincide with the generating-function convention)."""
-    row = [Fraction(0)] * (n + 1)
-    out = []
-    for m in range(n + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        out.append(row[0])
-    return out
 
 
 # -- reference exp: Taylor sums in interval arithmetic ---------------------------

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -129,7 +130,7 @@ _NONPOSITIVE = [
 @pytest.mark.parametrize("bad", _NONPOSITIVE)
 def test_mul_div_refuse_nonpositive_operands(bad):
     for good in (from_int(2, 53), from_int(1, 53), pi(53)):
-        for op in (lambda x, y: x * y, lambda x, y: x / y):
+        for op in (operator.mul, operator.truediv):
             with pytest.raises(ValueError, match="positive"):
                 op(good, bad)
             with pytest.raises(ValueError, match="positive"):
