@@ -21,9 +21,9 @@ modest size) the relative width at working precision p stays below
 bits once |a| passes 2**13 (see :func:`exp`).  The test suite checks this
 slack empirically.
 
-Shared state is limited to per-precision caches of pi and exp(1/2) and a
-small cache of the powers of five that decimal rendering divides by, whose
-entries are immutable once stored.
+Shared state is limited to a per-precision cache of pi, a per-precision
+and per-direction cache of exp(1/2), and a small cache of the powers of five
+that decimal rendering divides by, whose entries are immutable once stored.
 """
 
 from __future__ import annotations
@@ -65,20 +65,6 @@ class Dyadic(NamedTuple):
     man: int
     exp: int
 
-    def to_float(self) -> float:
-        """Nearest float, saturating to +-inf far outside float range."""
-        m, e = self.man, self.exp
-        if m == 0:
-            return 0.0
-        extra = m.bit_length() - 53
-        if extra > 0:
-            m >>= extra
-            e += extra
-        try:
-            return float(m) * 2.0**e
-        except OverflowError:
-            return float("inf") if m > 0 else float("-inf")
-
 
 def dyadic(man: int, exp: int = 0) -> Dyadic:
     return Dyadic(*_norm(man, exp))
@@ -103,11 +89,6 @@ def _cmp(a: Dyadic, b: Dyadic) -> int:
     return (am > bm) - (am < bm)
 
 
-def _add(a: Dyadic, b: Dyadic) -> tuple[int, int]:
-    e = min(a.exp, b.exp)
-    return (a.man << (a.exp - e)) + (b.man << (b.exp - e)), e
-
-
 def _sub(a: Dyadic, b: Dyadic) -> tuple[int, int]:
     e = min(a.exp, b.exp)
     return (a.man << (a.exp - e)) - (b.man << (b.exp - e)), e
@@ -127,13 +108,11 @@ def _round(man: int, exp: int, p: int, up: bool) -> Dyadic:
     return Dyadic(*_norm(-((-man) >> drop) if up else man >> drop, exp + drop))
 
 
-def _div(a: Dyadic, b: Dyadic, p: int, up: bool) -> Dyadic:
-    """Dyadic <= a/b, or >= a/b when ``up``, with about p significant bits (b != 0)."""
+def _div(a: Dyadic, b: Dyadic, p: int, up: bool) -> tuple[int, int]:
+    """a/b rounded down, or up when ``up``, to about p significant bits (b > 0)."""
     shift = p + 2 + max(0, b.man.bit_length() - a.man.bit_length() + 1)
-    num, den = a.man << shift, b.man
-    if den < 0:
-        num, den = -num, -den
-    return Dyadic(*_norm(-((-num) // den) if up else num // den, a.exp - b.exp - shift))
+    num = a.man << shift
+    return -((-num) // b.man) if up else num // b.man, a.exp - b.exp - shift
 
 
 class TriState(str, Enum):
@@ -175,7 +154,8 @@ class IntervalReal:
         return Dyadic(*_norm(*_sub(self.hi, self.lo)))
 
     def __repr__(self) -> str:
-        return f"IntervalReal[{self.lo.to_float()!r}, {self.hi.to_float()!r}; p={self.prec}]"
+        lo, hi = _dyadic_ratio(self.lo, _ONE), _dyadic_ratio(self.hi, _ONE)
+        return f"IntervalReal[{lo!r}, {hi!r}; p={self.prec}]"
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -229,7 +209,7 @@ def _dyadic_ratio(num: Dyadic, den: Dyadic) -> float:
     try:
         return _math.ldexp(ratio, (num.exp + sn) - (den.exp + sd))
     except OverflowError:
-        return float("inf")
+        return float("inf") if num.man > 0 else float("-inf")
 
 
 def scaled_width(a: IntervalReal, b: IntervalReal) -> float:
@@ -260,8 +240,6 @@ def exact_pow2(e: int, p: int = 53) -> IntervalReal:
 
 def from_rational(q: Fraction, p: int) -> IntervalReal:
     """Tightest enclosure of q at precision p; exact when q is dyadic."""
-    if p < 2:
-        raise ValueError("from_rational: precision must be >= 2")
     num, den = q.numerator, q.denominator
     if den & (den - 1) == 0:  # power of two: exact
         d = dyadic(num, -(den.bit_length() - 1))
@@ -367,8 +345,6 @@ def _pi_from_formula(p: int, formula: tuple) -> IntervalReal:
 
 def pi(p: int) -> IntervalReal:
     """Enclosure of pi of width <= 2**(-p+2), from a Machin-style arctan sum."""
-    if p < 2:
-        raise ValueError("pi: precision must be >= 2")
     return _pi_from_formula(p, _MACHIN)
 
 
@@ -400,18 +376,8 @@ def _exp_endpoint(x: Dyadic, p: int, up: bool) -> Dyadic:
 
 
 @lru_cache(maxsize=None)
-def _exp_half(p: int) -> IntervalReal:
-    return IntervalReal(_exp_endpoint(_HALF, p, False), _exp_endpoint(_HALF, p, True), p)
-
-
-def _pow_pos(base: IntervalReal, k: int, p: int) -> IntervalReal:
-    """base**k for k >= 1 and base > 0, monotone so endpoints power separately."""
-    out = base
-    for bit in bin(k)[3:]:
-        out = out * out
-        if bit == "1":
-            out = out * base
-    return IntervalReal(_round(*out.lo, p, False), _round(*out.hi, p, True), p)
+def _exp_half(p: int, up: bool) -> Dyadic:
+    return _exp_endpoint(_HALF, p, up)
 
 
 def _round_to_int(d: Dyadic) -> int:
@@ -421,16 +387,36 @@ def _round_to_int(d: Dyadic) -> int:
     return (d.man + (1 << (-d.exp - 1))) >> -d.exp
 
 
+def _exp(x: Dyadic, p: int, up: bool) -> Dyadic:
+    """Dyadic <= exp(x), or >= exp(x) when ``up``, with p bits, for any x;
+    the steps and their error bound are in :func:`exp`."""
+    k = _round_to_int(Dyadic(x.man, x.exp + 1))  # nearest int to 2x, so |x - k/2| <= 1/4
+    r = _round(*_sub(x, Dyadic(k, -1)), p + 16, up)
+    y = _exp_endpoint(r, p + 8, up)
+    if k:
+        # a divisor is bounded on the side opposite the quotient
+        toward = up if k > 0 else not up
+        base = power = _exp_half(p + 16, toward)
+        for bit in bin(abs(k))[3:]:
+            power = _round(*_mul(power, power), p + 16, toward)
+            if bit == "1":
+                power = _round(*_mul(power, base), p + 16, toward)
+        power = _round(*power, p + 8, toward)
+        y = _round(*(_mul(y, power) if k > 0 else _div(y, power, p + 8, up)), p + 8, up)
+    return _round(*y, p, up)
+
+
 def exp(a: IntervalReal) -> IntervalReal:
     """Containment-sound exponential, for an argument of any size.
 
-    Argument reduction writes a = k/2 + r, with k the integer nearest to
-    a.lo + a.hi, against a cached enclosure of exp(1/2), so no certified
-    log 2 is needed.  When some |r| exceeds 1/2 the input is wide, and the
-    result runs from the lower end of exp(a.lo) to the upper end of
-    exp(a.hi), since exp is monotone.  Otherwise each endpoint of
-    exp([r_lo, r_hi]) is one fixed-point Taylor sum (Brent & Zimmermann,
-    *Modern Computer Arithmetic*, ch. 4):
+    exp is monotone, so the enclosure runs from a lower bound on exp(a.lo)
+    to an upper bound on exp(a.hi), each from :func:`_exp` on that one
+    endpoint x.  Argument reduction writes x = k/2 + r, with k the integer
+    nearest to 2x, so |r| <= 1/4, against a cached bound on exp(1/2) rounded
+    the same way as the endpoint (the other way when k < 0, since the power
+    then divides), so no certified log 2 is needed.  exp(r) is one
+    fixed-point Taylor sum (Brent & Zimmermann, *Modern Computer
+    Arithmetic*, ch. 4):
 
     *Claim.* For |x| <= 1/2, :func:`_exp_endpoint` returns a dyadic below
     exp(x), or above it when ``up``.
@@ -458,19 +444,7 @@ def exp(a: IntervalReal) -> IntervalReal:
     exp(-1.8e6), the exponent of ``AgievichShifted`` at n = 5, k = 3000,
     comes out 2**-56.7 wide at p = 64.
     """
-    p = a.prec
-    k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))  # nearest int to 2*mid
-    half_k = Dyadic(k, -1)
-    r_lo = _round(*_sub(a.lo, half_k), p + 16, False)
-    r_hi = _round(*_sub(a.hi, half_k), p + 16, True)
-    if _cmp(r_lo, Dyadic(-1, -1)) < 0 or _cmp(r_hi, _HALF) > 0:
-        # wide input: exp is monotone, so the endpoint images bound it
-        return IntervalReal(exp(IntervalReal(a.lo, a.lo, p)).lo, exp(IntervalReal(a.hi, a.hi, p)).hi, p)
-    scaled = IntervalReal(_exp_endpoint(r_lo, p + 8, False), _exp_endpoint(r_hi, p + 8, True), p + 8)
-    if k:
-        powed = _pow_pos(_exp_half(p + 16), abs(k), p + 8)
-        scaled = scaled * powed if k > 0 else scaled / powed
-    return IntervalReal(_round(*scaled.lo, p, False), _round(*scaled.hi, p, True), p)
+    return IntervalReal(_exp(a.lo, a.prec, False), _exp(a.hi, a.prec, True), a.prec)
 
 
 # -- precision policy ----------------------------------------------------------

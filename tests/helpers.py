@@ -6,10 +6,13 @@ mpmath for transcendental references, Akiyama-Tanigawa for Bernoulli numbers,
 replaced live here too, so a test can check that the fast path agrees with
 them: :func:`reference_mul` and :func:`reference_div`, the general
 sign-case interval product and quotient (R. E. Moore, *Interval Analysis*,
-1966) that ``IntervalReal``'s one-formula positive ones replaced,
-:func:`reference_exp`, which runs ``interval.exp``'s Taylor sum in interval
-arithmetic on those two, :func:`reference_round_significant`, which rounds
-to significant digits with exact ``Fraction``s, and
+1966) that ``IntervalReal``'s one-formula positive ones replaced, on a
+signed :func:`_div` of dyadics, :func:`midpoint_exp`, the ``interval.exp``
+that took one argument reduction from the interval's midpoint and powered
+exp(1/2) in interval arithmetic, :func:`reference_exp`, which runs that
+reduction with its Taylor sums in interval arithmetic on the reference
+product and quotient and on :func:`_add`, :func:`reference_round_significant`,
+which rounds to significant digits with exact ``Fraction``s, and
 :func:`reference_alternation`, which decides the alternation check on whole
 bounds.
 
@@ -26,15 +29,15 @@ import mpmath
 from binomcert import bounds
 from binomcert.combinatorics import central_binomials
 from binomcert.interval import (
+    _HALF,
     Dyadic,
     IntervalReal,
-    _add,
     _cmp,
-    _div,
     _dyadic_ratio,
+    _exp_endpoint,
+    _exp_half,
     _mul,
     _norm,
-    _pow_pos,
     _round,
     _round_to_int,
     _sub,
@@ -116,6 +119,22 @@ def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
 # -- reference product and quotient: every sign case -----------------------------
 
 
+def _add(a: Dyadic, b: Dyadic) -> tuple[int, int]:
+    """Exact sum of two dyadics as (mantissa, exponent)."""
+    e = min(a.exp, b.exp)
+    return (a.man << (a.exp - e)) + (b.man << (b.exp - e)), e
+
+
+def _div(a: Dyadic, b: Dyadic, p: int, up: bool) -> Dyadic:
+    """Dyadic <= a/b, or >= a/b when ``up``, with about p significant bits,
+    for a divisor of either sign (b != 0)."""
+    shift = p + 2 + max(0, b.man.bit_length() - a.man.bit_length() + 1)
+    num, den = a.man << shift, b.man
+    if den < 0:
+        num, den = -num, -den
+    return Dyadic(*_norm(-((-num) // den) if up else num // den, a.exp - b.exp - shift))
+
+
 def reference_mul(a: IntervalReal, b: IntervalReal) -> IntervalReal:
     """``IntervalReal.__mul__`` before the positive-operand contract: the
     exact-one and exact-scalar shortcuts, then the min and max of the four
@@ -171,6 +190,40 @@ def reference_div(a: IntervalReal, b: IntervalReal) -> IntervalReal:
 def _reference_add(a: IntervalReal, b: IntervalReal) -> IntervalReal:
     p = max(a.prec, b.prec)
     return IntervalReal(_round(*_add(a.lo, b.lo), p, False), _round(*_add(a.hi, b.hi), p, True), p)
+
+
+# -- midpoint exp: one reduction for the whole interval ---------------------------
+
+
+def _pow_pos(base: IntervalReal, k: int, p: int) -> IntervalReal:
+    """base**k for k >= 1 and base > 0, monotone so endpoints power separately."""
+    out = base
+    for bit in bin(k)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return IntervalReal(_round(*out.lo, p, False), _round(*out.hi, p, True), p)
+
+
+def midpoint_exp(a: IntervalReal) -> IntervalReal:
+    """``interval.exp`` before it took each endpoint on its own: one k, the
+    integer nearest to a.lo + a.hi, reduces both endpoints, and exp(1/2)**|k|
+    multiplies or divides the core enclosure in interval arithmetic.  An input
+    too wide for that k takes exp of each endpoint as a point."""
+    p = a.prec
+    k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))  # nearest int to 2*mid
+    half_k = Dyadic(k, -1)
+    r_lo = _round(*_sub(a.lo, half_k), p + 16, False)
+    r_hi = _round(*_sub(a.hi, half_k), p + 16, True)
+    if _cmp(r_lo, Dyadic(-1, -1)) < 0 or _cmp(r_hi, _HALF) > 0:
+        lo = midpoint_exp(IntervalReal(a.lo, a.lo, p)).lo
+        return IntervalReal(lo, midpoint_exp(IntervalReal(a.hi, a.hi, p)).hi, p)
+    scaled = IntervalReal(_exp_endpoint(r_lo, p + 8, False), _exp_endpoint(r_hi, p + 8, True), p + 8)
+    if k:
+        half = IntervalReal(_exp_half(p + 16, False), _exp_half(p + 16, True), p + 16)
+        powed = _pow_pos(half, abs(k), p + 8)
+        scaled = scaled * powed if k > 0 else scaled / powed
+    return IntervalReal(_round(*scaled.lo, p, False), _round(*scaled.hi, p, True), p)
 
 
 # -- reference exp: Taylor sums in interval arithmetic ---------------------------
@@ -229,9 +282,9 @@ def _exp_taylor(r: IntervalReal, p: int) -> IntervalReal:
 
 
 def reference_exp(a: IntervalReal) -> IntervalReal:
-    """``interval.exp`` on a narrow input, with its core exp(r) and its
-    exp(1/2) from :func:`_exp_taylor`: the same argument reduction and the
-    same roundings as the fast path, on the reference product and quotient."""
+    """:func:`midpoint_exp` on a narrow input, with its core exp(r) and its
+    exp(1/2) from :func:`_exp_taylor`: the same midpoint reduction and the
+    same roundings, on the reference product and quotient."""
     p = a.prec
     k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))
     half_k = Dyadic(k, -1)

@@ -96,6 +96,13 @@ def _cases() -> dict[str, str]:
             "usage_bound_shifted_k100000.md": "bound 5 AgievichShifted --k 100000",
             # an --out file that cannot be created is not a failed check
             "out_unwritable.md": "bound 5 SasvariUpper --out /nonexistent_dir/x.md",
+            # exp of an interval wider than one reduction step, of a large
+            # negative argument (k = -360) and of a large positive one (k = 578)
+            "bound_exp_wide_input.md": (
+                "bound 40 AgievichGeneral --k 0 --precision-init 4 --precision-max 16 --digits 3"
+            ),
+            "bound_exp_negative_k.md": "bound 5 AgievichShifted --k 30",
+            "bound_exp_positive_k.md": "bound 1 CentralOrderN --order 12",
         }
     )
     return cases

@@ -31,10 +31,12 @@ from binomcert.interval import _HUTTON, _pi_from_formula  # a second, structural
 from binomcert.interval import _exp_endpoint
 from binomcert.bounds import general_exponent
 from helpers import (
+    _add,
     as_fraction as frac,
     assert_encloses,
     contains,
     is_exact,
+    midpoint_exp,
     oracle_bracket,
     reference_div,
     reference_exp,
@@ -91,6 +93,24 @@ def test_interval_validation():
 )
 def test_rel_width_pinned(lo, hi, expected):
     assert rel_width(IntervalReal(lo, hi, 64)) == expected
+
+
+@pytest.mark.parametrize(
+    "iv,text",
+    [
+        (from_int(0, 53), "IntervalReal[0.0, 0.0; p=53]"),
+        (exp(from_int(1, 64)), "IntervalReal[2.718281828459045, 2.718281828459045; p=64]"),
+        (IntervalReal(Dyadic(-3, -2), Dyadic(5, 0), 16), "IntervalReal[-0.75, 5.0; p=16]"),
+        # beyond the float range an endpoint saturates with its own sign
+        (IntervalReal(Dyadic(-1, 5000), Dyadic(1, 5000), 8), "IntervalReal[-inf, inf; p=8]"),
+        (
+            IntervalReal(Dyadic(-(1 << 3000) - 1, 5000), Dyadic((1 << 3000) + 1, 5000), 8),
+            "IntervalReal[-inf, inf; p=8]",
+        ),
+    ],
+)
+def test_repr_pinned(iv, text):
+    assert repr(iv) == text
 
 
 # -- field operations -------------------------------------------------------------
@@ -168,7 +188,7 @@ def test_mul_div_agree_with_reference_routes():
             return IntervalReal(lo, lo, p)
         bits = draw(st.integers(0, 8) if kind == "narrow" else st.integers(9, 700))
         w = interval.dyadic(draw(st.integers(1, 2**bits)), lo.exp)
-        hi = interval.dyadic(*interval._add(lo, w))
+        hi = interval.dyadic(*_add(lo, w))
         return IntervalReal(lo, hi, p)
 
     @hypothesis.settings(max_examples=1500, deadline=None)
@@ -362,6 +382,51 @@ def test_exp_agrees_with_reference_route():
             a = from_rational(general_exponent(n, 2, order), p)
             fast, slow = exp(a), reference_exp(a)
             assert frac(slow.lo) <= frac(fast.lo) <= frac(fast.hi) <= frac(slow.hi), (n, order, p)
+
+
+def _exp_oracle(x: Dyadic) -> tuple["mpmath.mpf", "mpmath.mpf"]:
+    """mpf values lo < exp(x) < hi, 2**-2990 apart relatively."""
+    with mpmath.workprec(3000):
+        e = mpmath.exp(mpmath.ldexp(mpmath.mpf(x.man), x.exp))
+        return e * (1 - mpmath.ldexp(1, -2990)), e * (1 + mpmath.ldexp(1, -2990))
+
+
+def test_exp_by_endpoint_is_the_midpoint_route_bit_for_bit():
+    """Where both endpoints round to the same k = round(2x), taking each on
+    its own gives the midpoint route's Dyadics exactly; elsewhere both
+    routes enclose exp of either endpoint."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def argument(draw):
+        p = draw(st.sampled_from((2, 3, 4, 8, 16, 64, 512)))
+        e = draw(st.integers(-80, 8))
+        lo = interval.dyadic(draw(st.integers(-(2 ** (21 - e)), 2 ** (21 - e))), e)
+        kind = draw(st.sampled_from(("point", "narrow", "wide")))
+        if kind == "point":
+            return IntervalReal(lo, lo, p)
+        w_exp = draw(st.integers(-90, -10) if kind == "narrow" else st.integers(-8, 13))
+        w = interval.dyadic(draw(st.integers(1, 255)), w_exp)  # |a| stays below 2**22
+        return IntervalReal(lo, interval.dyadic(*_add(lo, w)), p)
+
+    @hypothesis.settings(max_examples=1500, deadline=None)
+    @hypothesis.given(argument())
+    @hypothesis.example(from_rational(Fraction(5870970, 25943), 8))  # k differs at the endpoints
+    def check(a):
+        new, old = exp(a), midpoint_exp(a)
+        k = interval._round_to_int
+        if k(Dyadic(a.lo.man, a.lo.exp + 1)) == k(Dyadic(a.hi.man, a.hi.exp + 1)):
+            assert new == old
+            return
+        for x in (a.lo, a.hi):
+            lo, hi = _exp_oracle(x)
+            for iv in (new, old):
+                with mpmath.workprec(3000):
+                    assert mpmath.ldexp(iv.lo.man, iv.lo.exp) <= hi, (a, x)
+                    assert lo <= mpmath.ldexp(iv.hi.man, iv.hi.exp), (a, x)
+
+    check()
 
 
 # -- pi ---------------------------------------------------------------------------
