@@ -16,14 +16,12 @@ Width contract: each primitive rounds each endpoint outward by at most one
 unit in the last place, and sqrt, exp and pi carry explicit truncation
 bounds (exp's is proved in its docstring), so for the compositions used in
 this package (a few multiplications, one sqrt, one exp of an argument of
-modest size) the relative width at working precision p stays below
-2**(-p + 8).  exp of a large argument a costs about log2 |2a| - 14 more
-bits once |a| passes 2**13 (see :func:`exp`).  The test suite checks this
-slack empirically.
+any size) the relative width at working precision p stays below
+2**(-p + 8).  The test suite checks this slack empirically.
 
-Shared state is limited to a per-precision cache of pi, a per-precision
-and per-direction cache of exp(1/2), and a small cache of the powers of five
-that decimal rendering divides by, whose entries are immutable once stored.
+Shared state is limited to a per-precision cache of pi and a small cache of
+the powers of five that decimal rendering divides by, whose entries are
+immutable once stored.
 """
 
 from __future__ import annotations
@@ -351,7 +349,6 @@ def pi(p: int) -> IntervalReal:
 # -- exponential ---------------------------------------------------------------
 
 _EXP_GUARD_BITS = 30  # fixed-point bits beyond the precision asked of _exp_endpoint
-_HALF = Dyadic(1, -1)
 
 
 def _exp_endpoint(x: Dyadic, p: int, up: bool) -> Dyadic:
@@ -375,34 +372,14 @@ def _exp_endpoint(x: Dyadic, p: int, up: bool) -> Dyadic:
     return _round(acc + slack if up else acc - slack, -w, p, up)
 
 
-@lru_cache(maxsize=None)
-def _exp_half(p: int, up: bool) -> Dyadic:
-    return _exp_endpoint(_HALF, p, up)
-
-
-def _round_to_int(d: Dyadic) -> int:
-    """Nearest integer to a dyadic (ties toward +inf; any choice is sound here)."""
-    if d.exp >= 0:
-        return d.man << d.exp
-    return (d.man + (1 << (-d.exp - 1))) >> -d.exp
-
-
 def _exp(x: Dyadic, p: int, up: bool) -> Dyadic:
     """Dyadic <= exp(x), or >= exp(x) when ``up``, with p bits, for any x;
     the steps and their error bound are in :func:`exp`."""
-    k = _round_to_int(Dyadic(x.man, x.exp + 1))  # nearest int to 2x, so |x - k/2| <= 1/4
-    r = _round(*_sub(x, Dyadic(k, -1)), p + 16, up)
-    y = _exp_endpoint(r, p + 8, up)
-    if k:
-        # a divisor is bounded on the side opposite the quotient
-        toward = up if k > 0 else not up
-        base = power = _exp_half(p + 16, toward)
-        for bit in bin(abs(k))[3:]:
-            power = _round(*_mul(power, power), p + 16, toward)
-            if bit == "1":
-                power = _round(*_mul(power, base), p + 16, toward)
-        power = _round(*power, p + 8, toward)
-        y = _round(*(_mul(y, power) if k > 0 else _div(y, power, p + 8, up)), p + 8, up)
+    m = max(0, x.man.bit_length() + x.exp + 1) if x.man else 0  # |x / 2**m| < 1/2
+    w = p + m + 8
+    y = _exp_endpoint(Dyadic(x.man, x.exp - m), w, up)
+    for _ in range(m):
+        y = _round(*_mul(y, y), w, up)
     return _round(*y, p, up)
 
 
@@ -411,12 +388,11 @@ def exp(a: IntervalReal) -> IntervalReal:
 
     exp is monotone, so the enclosure runs from a lower bound on exp(a.lo)
     to an upper bound on exp(a.hi), each from :func:`_exp` on that one
-    endpoint x.  Argument reduction writes x = k/2 + r, with k the integer
-    nearest to 2x, so |r| <= 1/4, against a cached bound on exp(1/2) rounded
-    the same way as the endpoint (the other way when k < 0, since the power
-    then divides), so no certified log 2 is needed.  exp(r) is one
-    fixed-point Taylor sum (Brent & Zimmermann, *Modern Computer
-    Arithmetic*, ch. 4):
+    endpoint x.  Argument reduction halves and squares (Brent & Zimmermann,
+    *Modern Computer Arithmetic*, section 4.3): with m the least integer
+    >= 0 for which |x / 2**m| < 1/2, m = 0 at x = 0 and for |x| < 1/2,
+    exp(x) = exp(x / 2**m)**(2**m).  The core exp(x / 2**m) is one
+    fixed-point Taylor sum (ibid., ch. 4):
 
     *Claim.* For |x| <= 1/2, :func:`_exp_endpoint` returns a dyadic below
     exp(x), or above it when ``up``.
@@ -437,12 +413,17 @@ def exp(a: IntervalReal) -> IntervalReal:
     Taking off (adding) 2k + 2 units and rounding down (up) to p bits gives
     the endpoint.  QED
 
-    The core exp(r) is taken at p + 8 bits and exp(1/2) at p + 16, so both
-    are far narrower than the final outward rounding to p bits.  The
-    enclosure is sound for any |a|.  Raising exp(1/2) to the k-th power
-    costs about log2 |k| - 14 bits of relative width once |k| passes 2**14:
-    exp(-1.8e6), the exponent of ``AgievichShifted`` at n = 5, k = 3000,
-    comes out 2**-56.7 wide at p = 64.
+    The core is taken at w = p + m + 8 bits and squared m times, each
+    square rounded to w bits on the endpoint's side.  Squaring is monotone
+    on positive numbers, so each bound stays on its side, and the enclosure
+    is sound for any |a|.  One rounding to w bits is a factor of at most
+    1 + u, u = 2**(1-w), and the core is within (1 + u)**2 of exp(x / 2**m),
+    its Taylor slack being far under u.  A factor (1 + u)**c before a
+    squaring is (1 + u)**(2c + 1) after it, so after m squarings it is
+    (1 + u)**(3 * 2**m - 1) < exp(2**(m+3-w)) = exp(2**(-p-5)).  The final
+    outward rounding to p bits thus sets the width for every argument:
+    exp(-1.8e6), about the exponent of ``AgievichShifted`` at n = 5,
+    k = 3000, comes out 2**-63.9 wide at p = 64.
     """
     return IntervalReal(_exp(a.lo, a.prec, False), _exp(a.hi, a.prec, True), a.prec)
 

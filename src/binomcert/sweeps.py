@@ -17,8 +17,8 @@ built once per n and precision, and gap2(n+1) is carried to the next n.
 n-range: every check-chunk task of one run goes through a single process
 pool, and chunk reports merge by ascending n, so verdicts, counts and
 failures are identical to a sequential run.  The pool never exceeds
-``os.cpu_count()`` workers.  The module-level caches (Bernoulli, pi,
-exp(1/2)) are per process: a worker fills its own.
+``os.cpu_count()`` workers.  The module-level caches (Bernoulli, pi) are
+per process: a worker fills its own.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ sign-case interval product and quotient (R. E. Moore, *Interval Analysis*,
 1966) that ``IntervalReal``'s one-formula positive ones replaced, on a
 signed :func:`_div` of dyadics, :func:`midpoint_exp`, the ``interval.exp``
 that took one argument reduction from the interval's midpoint and powered
-exp(1/2) in interval arithmetic, :func:`reference_exp`, which runs that
-reduction with its Taylor sums in interval arithmetic on the reference
-product and quotient and on :func:`_add`, :func:`reference_round_significant`,
+exp(1/2) in interval arithmetic (the exp(1/2) cache and
+:func:`_round_to_int` are its own: ``interval.exp`` halves and squares),
+:func:`reference_exp`, which runs that reduction with its Taylor sums in
+interval arithmetic on the reference product and quotient and on
+:func:`_add`, :func:`reference_round_significant`,
 which rounds to significant digits with exact ``Fraction``s, and
 :func:`reference_alternation`, which decides the alternation check on whole
 bounds.
@@ -23,23 +25,21 @@ The interval inspections only tests use are plain functions here:
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
 from binomcert import bounds
 from binomcert.combinatorics import central_binomials
 from binomcert.interval import (
-    _HALF,
     Dyadic,
     IntervalReal,
     _cmp,
     _dyadic_ratio,
     _exp_endpoint,
-    _exp_half,
     _mul,
     _norm,
     _round,
-    _round_to_int,
     _sub,
     from_int,
 )
@@ -193,6 +193,20 @@ def _reference_add(a: IntervalReal, b: IntervalReal) -> IntervalReal:
 
 
 # -- midpoint exp: one reduction for the whole interval ---------------------------
+
+_HALF = Dyadic(1, -1)
+
+
+@lru_cache(maxsize=None)
+def _exp_half(p: int, up: bool) -> Dyadic:
+    return _exp_endpoint(_HALF, p, up)
+
+
+def _round_to_int(d: Dyadic) -> int:
+    """Nearest integer to a dyadic (ties toward +inf; any choice is sound here)."""
+    if d.exp >= 0:
+        return d.man << d.exp
+    return (d.man + (1 << (-d.exp - 1))) >> -d.exp
 
 
 def _pow_pos(base: IntervalReal, k: int, p: int) -> IntervalReal:

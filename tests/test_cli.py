@@ -96,8 +96,9 @@ def _cases() -> dict[str, str]:
             "usage_bound_shifted_k100000.md": "bound 5 AgievichShifted --k 100000",
             # an --out file that cannot be created is not a failed check
             "out_unwritable.md": "bound 5 SasvariUpper --out /nonexistent_dir/x.md",
-            # exp of an interval wider than one reduction step, of a large
-            # negative argument (k = -360) and of a large positive one (k = 578)
+            # exp of a wide interval at 4 to 16 bits, of a large negative
+            # argument (about -180, 9 halvings) and of a large positive one
+            # (about 289, 10 halvings)
             "bound_exp_wide_input.md": (
                 "bound 40 AgievichGeneral --k 0 --precision-init 4 --precision-max 16 --digits 3"
             ),

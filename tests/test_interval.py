@@ -32,6 +32,7 @@ from binomcert.interval import _exp_endpoint
 from binomcert.bounds import general_exponent
 from helpers import (
     _add,
+    _round_to_int,
     as_fraction as frac,
     assert_encloses,
     contains,
@@ -356,7 +357,7 @@ def test_exp_brackets_oracle_with_reduction():
         st.integers(2, 600),
         st.integers(0, 8),
     )
-    @hypothesis.example(Fraction(-7, 3), 64, 0)  # k = -5, narrow
+    @hypothesis.example(Fraction(-7, 3), 64, 0)  # m = 3, narrow
     @hypothesis.example(Fraction(150), 2, 0)  # [128, 192]: the endpoint hull
     def check(q, p, widen):
         # rounding q to p - widen bits widens the input up to 2**widen ulps
@@ -391,9 +392,10 @@ def _exp_oracle(x: Dyadic) -> tuple["mpmath.mpf", "mpmath.mpf"]:
         return e * (1 - mpmath.ldexp(1, -2990)), e * (1 + mpmath.ldexp(1, -2990))
 
 
-def test_exp_by_endpoint_is_the_midpoint_route_bit_for_bit():
-    """Where both endpoints round to the same k = round(2x), taking each on
-    its own gives the midpoint route's Dyadics exactly; elsewhere both
+def test_exp_is_the_midpoint_route_bit_for_bit_where_unreduced():
+    """Where both endpoints have round(2x) = 0 and at most p + 16 mantissa
+    bits, neither route reduces or rounds the argument, so halving and
+    squaring gives the midpoint route's Dyadics exactly; elsewhere both
     routes enclose exp of either endpoint."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -410,13 +412,16 @@ def test_exp_by_endpoint_is_the_midpoint_route_bit_for_bit():
         w = interval.dyadic(draw(st.integers(1, 255)), w_exp)  # |a| stays below 2**22
         return IntervalReal(lo, interval.dyadic(*_add(lo, w)), p)
 
+    def unreduced(x: Dyadic, p: int) -> bool:
+        return _round_to_int(Dyadic(x.man, x.exp + 1)) == 0 and abs(x.man).bit_length() <= p + 16
+
     @hypothesis.settings(max_examples=1500, deadline=None)
     @hypothesis.given(argument())
     @hypothesis.example(from_rational(Fraction(5870970, 25943), 8))  # k differs at the endpoints
+    @hypothesis.example(from_int(-2189, 64))  # squares rounded up would lift the lower end past exp
     def check(a):
         new, old = exp(a), midpoint_exp(a)
-        k = interval._round_to_int
-        if k(Dyadic(a.lo.man, a.lo.exp + 1)) == k(Dyadic(a.hi.man, a.hi.exp + 1)):
+        if unreduced(a.lo, a.prec) and unreduced(a.hi, a.prec):
             assert new == old
             return
         for x in (a.lo, a.hi):
@@ -425,6 +430,33 @@ def test_exp_by_endpoint_is_the_midpoint_route_bit_for_bit():
                 with mpmath.workprec(3000):
                     assert mpmath.ldexp(iv.lo.man, iv.lo.exp) <= hi, (a, x)
                     assert lo <= mpmath.ldexp(iv.hi.man, iv.hi.exp), (a, x)
+
+    check()
+
+
+def test_exp_width_contract():
+    """exp of a point argument of any size is at most 2**(2-p) wide
+    relative to its lower end: the reduction costs no bits."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def point(draw):
+        p = draw(st.sampled_from((2, 3, 4, 8, 16, 64, 512)))
+        e = draw(st.integers(-80, 8))
+        x = interval.dyadic(draw(st.integers(1 - 2 ** (22 - e), 2 ** (22 - e) - 1)), e)
+        return IntervalReal(x, x, p)  # |x| < 2**22
+
+    # about exp(-1.8e6), the AgievichShifted exponent at n = 5, k = 3000
+    shifted = from_rational(Fraction(-9000000, 5) + Fraction(23, 180), 64).lo
+
+    @hypothesis.settings(max_examples=1500, deadline=None)
+    @hypothesis.given(point())
+    @hypothesis.example(IntervalReal(shifted, shifted, 64))
+    def check(a):
+        iv = exp(a)
+        w = iv.width()
+        assert interval._cmp(Dyadic(w.man, w.exp + a.prec - 2), iv.lo) <= 0, (a, rel_width(iv))
 
     check()
 

@@ -57,8 +57,8 @@ def test_order_improvement():
 
 
 def test_order_improvement_memory_is_linear():
-    # An untraced run first fills the per-process caches (series coefficients,
-    # pi, exp(1/2)) and the interpreter's free lists, which keep about 250 KiB
+    # An untraced run first fills the per-process caches (series coefficients
+    # and pi) and the interpreter's free lists, which keep about 250 KiB
     # of freed tuples; the traced peak is then what the sweep itself holds.
     # Holding every C(2n, n) of the range peaked at 707 KiB here.
     order_improvement_sweep(2, 2000, TINY)
