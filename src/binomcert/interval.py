@@ -372,15 +372,20 @@ def _exp_endpoint(x: Dyadic, p: int, up: bool) -> Dyadic:
     return _round(acc + slack if up else acc - slack, -w, p, up)
 
 
-def _exp(x: Dyadic, p: int, up: bool) -> Dyadic:
-    """Dyadic <= exp(x), or >= exp(x) when ``up``, with p bits, for any x;
-    the steps and their error bound are in :func:`exp`."""
+def _exp_squared(x: Dyadic, p: int, up: bool) -> Dyadic:
+    """The w-bit bound of :func:`_exp` before its rounding to p bits, within a
+    factor exp(2**(-p-5)) of exp(x); the steps and the proof are in :func:`exp`."""
     m = max(0, x.man.bit_length() + x.exp + 1) if x.man else 0  # |x / 2**m| < 1/2
     w = p + m + 8
     y = _exp_endpoint(Dyadic(x.man, x.exp - m), w, up)
     for _ in range(m):
         y = _round(*_mul(y, y), w, up)
-    return _round(*y, p, up)
+    return y
+
+
+def _exp(x: Dyadic, p: int, up: bool) -> Dyadic:
+    """Dyadic <= exp(x), or >= exp(x) when ``up``, with p bits, for any x."""
+    return _round(*_exp_squared(x, p, up), p, up)
 
 
 def exp(a: IntervalReal) -> IntervalReal:

@@ -15,8 +15,9 @@ built once per n and precision, and gap2(n+1) is carried to the next n.
 
 :func:`run_verify` may partition its checks across processes by chunking the
 n-range: every check-chunk task of one run goes through a single process
-pool, and chunk reports merge by ascending n, so verdicts, counts and
-failures are identical to a sequential run.  The pool never exceeds
+pool.  Each of the :data:`VERIFY_CHECKS` yields its decisions in ascending
+n, so its chunk reports concatenate: the counts add up, and the first
+``FAILURE_CAP`` failures are a sequential run's.  The pool never exceeds
 ``os.cpu_count()`` workers.  The module-level caches (Bernoulli, pi) are
 per process: a worker fills its own.
 """
@@ -28,8 +29,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, partial
-from itertools import pairwise
+from functools import cache, partial, reduce
+from itertools import groupby, pairwise
+from operator import attrgetter
 
 from . import bounds as bd
 from . import interval as ivl
@@ -68,42 +70,40 @@ class SweepReport:
     def total(self) -> int:
         return self.proved + self.failed + self.undecided
 
-    def record(self, n: int, verdict: str, width: float, detail: str = "") -> None:
+    def record(self, n: int, verdict: str, width: float, detail: str) -> None:
         setattr(self, verdict, getattr(self, verdict) + 1)
         if width > self.worst_rel_width:
             self.worst_rel_width = width
         if verdict != "proved" and len(self.failures) < FAILURE_CAP:
-            self.failures.append((n, detail or verdict))
+            self.failures.append((n, detail))
 
     def merged(self, other: "SweepReport") -> "SweepReport":
-        if other.check != self.check:
-            raise ValueError("cannot merge reports of different checks")
-        out = replace(
+        """This check's report over its n-range, then ``other``'s, the next one;
+        decisions ascend in n, so the capped failure lists concatenate."""
+        if other.check != self.check or other.n_lo != self.n_hi + 1:
+            raise ValueError("can only merge the next n-range of the same check")
+        return replace(
             self,
-            n_lo=min(self.n_lo, other.n_lo),
-            n_hi=max(self.n_hi, other.n_hi),
+            n_hi=other.n_hi,
             proved=self.proved + other.proved,
             failed=self.failed + other.failed,
             undecided=self.undecided + other.undecided,
             worst_rel_width=max(self.worst_rel_width, other.worst_rel_width),
             wall_time=self.wall_time + other.wall_time,
+            failures=(self.failures + other.failures)[:FAILURE_CAP],
         )
-        out.failures = sorted(self.failures + other.failures)[:FAILURE_CAP]
-        return out
 
 
 def _decide_less(make_pair, policy: PrecisionPolicy) -> tuple[str, float]:
     """Escalate precision until a < b is decided; report the final pair width."""
-    width = float("inf")
     for p in policy.precisions():
         a, b = make_pair(p)
-        width = ivl.scaled_width(a, b)
         v = certainly_less(a, b)
         if v is TriState.YES:
-            return "proved", width
+            return "proved", ivl.scaled_width(a, b)
         if v is TriState.NO:
-            return "failed", width
-    return "undecided", width
+            return "failed", ivl.scaled_width(a, b)
+    return "undecided", ivl.scaled_width(a, b)
 
 
 def _exact(holds: bool) -> tuple[str, float]:
@@ -143,14 +143,14 @@ def dominance_sweep(
 
     The prefactors are identical and exp is monotone, so per n this is the
     exact rational sign test f(n) > 0 -- no intervals.  At the spot-check
-    points the full interval route runs too and must agree.
+    points the full interval route runs too, right after the exact test at
+    that n, and must agree.
     """
 
     def decisions():
         for n in range(n_lo, n_hi + 1):
             yield n, _exact(bd.tightness_gap(Fraction(n)) > 0), "f(n) <= 0"
-        for n in DOMINANCE_SPOT_CHECKS:
-            if n_lo <= n <= n_hi:
+            if n in DOMINANCE_SPOT_CHECKS:
                 pair = lambda p: (bd.central_upper(n, 2, p).value, bd.agievich_central(n, p).value)
                 yield n, _decide_less(pair, policy), "interval route disagrees"
 
@@ -270,11 +270,11 @@ def run_verify(
     Each check's range is cut into ``jobs`` chunks.  With ``jobs > 1`` every
     check-chunk task runs through one process pool of at most ``jobs``
     workers, and never more than ``os.cpu_count()``; otherwise the tasks run
-    in this process.  Chunking follows ``jobs`` whatever the pool's size.  A
-    check's chunk reports merge by ascending n, so verdicts, counts and
-    failures equal a sequential run's; the ``wall_time`` of a fanned-out
-    check is the sum of its chunks' times, since the checks share the pool's
-    workers.
+    in this process.  Chunking follows ``jobs`` whatever the pool's size.
+    Every check decides in ascending n, so its chunk reports concatenate:
+    verdicts and counts equal a sequential run's, and so do the first
+    ``FAILURE_CAP`` failures.  The ``wall_time`` of a fanned-out check is the
+    sum of its chunks' times, since the checks share the pool's workers.
     """
     if max_n < 1:
         raise ValueError("run_verify: max_n must be >= 1")
@@ -295,10 +295,4 @@ def run_verify(
             parts = list(pool.map(_run_task, tasks))
     else:
         parts = [_run_task(task) for task in tasks]
-    reports: list[SweepReport] = []
-    for part in parts:
-        if reports and reports[-1].check == part.check:
-            reports[-1] = reports[-1].merged(part)
-        else:
-            reports.append(part)
-    return reports
+    return [reduce(SweepReport.merged, group) for _, group in groupby(parts, attrgetter("check"))]

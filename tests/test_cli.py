@@ -66,6 +66,7 @@ def _cases() -> dict[str, str]:
             "table2_digits5.md": "table table2 --digits 5",
             "table3_starved_lenient.md": f"table table3 {STARVED}",
             "verify_starved.md": f"verify --max-n 3 {STARVED} --no-timing",
+            "verify_starved_jobs2.md": f"verify --max-n 3 {STARVED} --no-timing --jobs 2",
             "verify_jobs0.md": "verify --max-n 40 --jobs 0 --no-timing",
             "verify_jobs2.md": "verify --max-n 40 --jobs 2 --no-timing",
             # evidence that cannot be proved is refused, not printed as "?"
@@ -153,6 +154,9 @@ def test_verify_jobs_do_not_change_output():
     golden = (GOLDEN / "verify.md.out").read_bytes()
     assert (GOLDEN / "verify_jobs0.md.out").read_bytes() == golden
     assert (GOLDEN / "verify_jobs2.md.out").read_bytes() == golden
+    # unproved verdicts too: the failure lists come in the sequential order
+    starved = (GOLDEN / "verify_starved.md.out").read_bytes()
+    assert (GOLDEN / "verify_starved_jobs2.md.out").read_bytes() == starved
 
 
 def test_consecutive_calls_share_no_state(tmp_path):

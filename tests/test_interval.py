@@ -28,7 +28,7 @@ from binomcert.interval import (
     sqrt,
 )
 from binomcert.interval import _HUTTON, _pi_from_formula  # a second, structurally different pi series
-from binomcert.interval import _exp_endpoint
+from binomcert.interval import _exp_endpoint, _exp_squared
 from binomcert.bounds import general_exponent
 from helpers import (
     _add,
@@ -368,6 +368,35 @@ def test_exp_brackets_oracle_with_reduction():
         iv = exp(a)
         assert frac(iv.lo) <= hi and lo <= frac(iv.hi)
         assert iv.lo.man > 0
+
+    check()
+
+
+def test_exp_squared_bound_brackets_oracle():
+    """Before its final rounding to p bits, the bound of a reducing argument
+    lies on its side of exp(x) and within the proved factor exp(2**(-p-5));
+    the rounding to p bits would hide a fault of the squarings."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def reducing(draw):
+        e = draw(st.integers(-80, 8))
+        man = draw(st.integers(2 ** max(0, -1 - e), 2 ** (22 - e) - 1))  # 1/2 <= |x| < 2**22
+        return Dyadic(draw(st.sampled_from((1, -1))) * man, e)
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(reducing(), st.sampled_from((8, 16, 64, 512)), st.booleans())
+    def check(x, p, up):
+        lo, hi = _exp_oracle(x)
+        y = _exp_squared(x, p, up)
+        with mpmath.workprec(3000):
+            y = mpmath.ldexp(y.man, y.exp)
+            slack = mpmath.exp(mpmath.ldexp(1, -p - 5))
+            if up:
+                assert lo <= y <= hi * slack, (x, p)
+            else:
+                assert lo / slack <= y <= hi, (x, p)
 
     check()
 

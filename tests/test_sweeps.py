@@ -105,9 +105,12 @@ def test_sandwich_is_alternation_at_orders_1_and_2(policy):
     assert sandwich == alternation
 
 
-def test_chunked_equals_sequential():
-    seq = [_strip_timing(r) for r in run_verify(120, jobs=1)]
-    par = [_strip_timing(r) for r in run_verify(120, jobs=3)]
+# the starved policies leave verdicts undecided, and three of the four checks
+# reach FAILURE_CAP, so the cap's cut across chunks is covered too
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, TINY, PrecisionPolicy(4, 8)])
+def test_chunked_equals_sequential(policy):
+    seq = [_strip_timing(r) for r in run_verify(120, policy=policy, jobs=1)]
+    par = [_strip_timing(r) for r in run_verify(120, policy=policy, jobs=3)]
     assert [r["check"] for r in seq] == list(sweeps.VERIFY_CHECKS)
     assert par == seq
 
@@ -246,3 +249,25 @@ def test_merged_requires_same_check():
     b = dominance_sweep(1, 5)
     with pytest.raises(ValueError):
         a.merged(b)
+    # and the next n-range of that check, nothing else
+    after_gap, following = sandwich_sweep(7, 9), sandwich_sweep(6, 9)
+    assert _strip_timing(a.merged(following)) == _strip_timing(sandwich_sweep(1, 9))
+    with pytest.raises(ValueError):
+        a.merged(after_gap)
+    with pytest.raises(ValueError):
+        following.merged(a)
+
+
+def test_decide_less_measures_the_final_pair_only(monkeypatch):
+    measured = []
+    scaled_width = sweeps.ivl.scaled_width
+
+    def counting(a, b):
+        measured.append(a.prec)
+        return scaled_width(a, b)
+
+    monkeypatch.setattr(sweeps.ivl, "scaled_width", counting)
+    rep = order_improvement_sweep(2, 200, PrecisionPolicy(16, 1024))
+    assert rep.proved == 398  # 199 exact and 199 interval decisions
+    assert len(measured) == 199
+    assert max(measured) > 16  # not vacuous: some decisions escalated
