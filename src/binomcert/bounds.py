@@ -2,11 +2,12 @@
 
 All bounds here share one shape: an exact power prefactor divided by the
 square root of a multiple of pi, times the exponential of a rational
-exponent.  Exponents are carried as exact ``Fraction`` values end to end;
+exponent.  Exponents are exact: a series exponent is an integer pair over
+one common denominator, and a ``Fraction`` where a bound reports it;
 interval arithmetic enters only through the prefactor (pi, sqrt) and the
 final exp.  That split keeps comparisons that reduce to exponent sign --
 like which of two equal-prefactor bounds is tighter -- provable by pure
-rational arithmetic.
+integer arithmetic.
 
 Families implemented:
 
@@ -15,7 +16,7 @@ Families implemented:
   specializations and the Catalan corollary;
 * the Binet-series bounds, all truncations of one correction series
   D_J(s, r) = sum_{j<=J} t_j(r) / s^(2j-1) with t_j(r) = B_2j / (2j(2j-1)) *
-  (r^-(2j-1) - 1 - (r-1)^-(2j-1)).  :func:`general_exponent` alone sums it,
+  (r^-(2j-1) - 1 - (r-1)^-(2j-1)).  :func:`exponent_pair` alone sums it,
   and the order cap 1..MAX_SERIES_ORDER has one check,
   :func:`check_series_order`, which it applies for every caller.
   The central case is r = 2: 4^n / sqrt(pi n) * exp(D_J(n, 2)), where
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, log10
 
 from . import interval as ivl
 from .combinatorics import bernoulli, central_binomial
@@ -52,6 +54,7 @@ __all__ = [
     "catalan_upper",
     "check_series_order",
     "general_exponent",
+    "exponent_pair",
     "general_rs_bound",
     "central_ratio",
     "tightness_gap",
@@ -69,14 +72,17 @@ class BoundResult:
 
 
 @lru_cache(maxsize=128)  # bounded: r comes from the caller
-def _coefficients(order: int, r: int) -> tuple[Fraction, ...]:
-    """t_1(r)..t_order(r); no Bernoulli number past B_(2 order) is computed."""
-    return tuple(
+def _coefficients(order: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """L and t_1(r) * L..t_order(r) * L, L the least common denominator of
+    the t_j(r); no Bernoulli number past B_(2 order) is computed."""
+    ts = [
         bernoulli(2 * j)
         / (2 * j * (2 * j - 1))
         * (Fraction(1, r ** (2 * j - 1)) - 1 - Fraction(1, (r - 1) ** (2 * j - 1)))
         for j in range(1, order + 1)
-    )
+    ]
+    den = lcm(*(t.denominator for t in ts))
+    return den, tuple(t.numerator * (den // t.denominator) for t in ts)
 
 
 def check_series_order(order: int) -> None:
@@ -85,31 +91,39 @@ def check_series_order(order: int) -> None:
         raise ValueError(f"series order must be in 1..{MAX_SERIES_ORDER}")
 
 
-def general_exponent(s: int, r: int, order: int) -> Fraction:
-    """D_order(s, r) = sum_{j<=order} t_j(r) / s^(2j-1), exact in Fractions.
+def exponent_pair(s: int, r: int, order: int) -> tuple[int, int]:
+    """D_order(s, r) = sum_{j<=order} t_j(r) / s^(2j-1) as an unreduced
+    integer pair (numerator, denominator > 0).
 
     The correction exponent of every series bound: the partial Bernoulli sum
     of B_2j / (2j(2j-1)) * [(rs)^-(2j-1) - s^-(2j-1) - ((r-1)s)^-(2j-1)] for
     log C(rs, s), whose s-free factor is t_j(r).  r = 2 is the central
-    series, t_1..t_4 = -1/8, 1/192, -1/640, 17/14336.
+    series, t_1..t_4 = -1/8, 1/192, -1/640, 17/14336.  The pair is the
+    Horner sum of the t_j L in s^2 over L s^(2 order - 1).
     """
     if r < 2 or s < 1:
         raise ValueError("general_exponent: need r >= 2, s >= 1")
     check_series_order(order)
-    return sum(
-        (t / s ** (2 * j - 1) for j, t in enumerate(_coefficients(order, r), start=1)),
-        Fraction(0),
-    )
+    den, cs = _coefficients(order, r)
+    s2, num = s * s, 0
+    for c in cs:
+        num = num * s2 + c
+    return num, den * s ** (2 * order - 1)
 
 
-def _evaluate(scale: Fraction, sqrt_scale: Fraction, n: int, exponent: Fraction, p: int) -> IntervalReal:
+def general_exponent(s: int, r: int, order: int) -> Fraction:
+    """D_order(s, r) of :func:`exponent_pair` as a reduced ``Fraction``."""
+    return Fraction(*exponent_pair(s, r, order))
+
+
+def _evaluate(scale: IntervalReal, sqrt_scale: Fraction, n: int, exponent: Fraction, p: int) -> IntervalReal:
     """scale / sqrt(sqrt_scale * pi * n) * exp(exponent), containment-sound.
 
     One shared expression tree for every bound family, so that algebraically
     identical bounds produce bit-identical intervals.
     """
     root = ivl.sqrt(ivl.from_rational(sqrt_scale, p) * ivl.pi(p) * ivl.from_int(n, p))
-    pref = ivl.from_rational(scale, p) / root
+    pref = scale / root
     return pref * ivl.exp(ivl.from_rational(exponent, p))
 
 
@@ -124,7 +138,7 @@ def agievich_general(n: int, k: int, p: int = 64) -> BoundResult:
     if not 0 <= k <= n:
         raise ValueError("agievich_general: need 0 <= k <= n")
     exponent = Fraction(-((2 * k - n) ** 2), 2 * n) + Fraction(23, 18 * n)
-    value = _evaluate(Fraction(2) ** n, Fraction(1, 2), n, exponent, p)
+    value = _evaluate(ivl.exact_pow2(n, p), Fraction(1, 2), n, exponent, p)
     return BoundResult(exponent, value)
 
 
@@ -132,7 +146,7 @@ def agievich_shifted(n: int, k: int, p: int = 64) -> BoundResult:
     """Recentered form bounding C(2n, n+k): 4^n / sqrt(pi n) * exp(-k^2/n + 23/(36n))."""
     _require_positive(n)
     exponent = Fraction(-(k * k), n) + Fraction(23, 36 * n)
-    value = _evaluate(Fraction(4) ** n, Fraction(1), n, exponent, p)
+    value = _evaluate(ivl.exact_pow2(2 * n, p), Fraction(1), n, exponent, p)
     return BoundResult(exponent, value)
 
 
@@ -161,8 +175,14 @@ def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
 def _series_bound(r: int, s: int, order: int, p: int) -> BoundResult:
     """c_r * d_r^(2s) / sqrt(s) * exp(D_order(s, r)): the one body of every
     series bound; at r = 2 it is 4^s / sqrt(pi s) * exp(D_order(s, 2))."""
+    # log10 of the bound is at most about 4 below e (the c_r / sqrt(s) factor):
+    # refuse a value too long to render before building its power
+    e = s * (r * log10(r) - (r - 1) * log10(r - 1))
+    if r > 2 and e > ivl.MAX_DECIMAL_EXPONENT + 100:
+        ivl._refuse_exponent(int(e))
+    growth = Fraction(r**r, (r - 1) ** (r - 1))  # d_r^2
+    scale = ivl.exact_pow2(2 * s, p) if r == 2 else ivl.from_rational(growth**s, p)
     exponent = general_exponent(s, r, order)
-    scale = Fraction(r**r, (r - 1) ** (r - 1)) ** s
     sqrt_scale = Fraction(2 * (r - 1), r)  # 2 * (1 - 1/r); times pi*s under the root
     return BoundResult(exponent, _evaluate(scale, sqrt_scale, s, exponent, p))
 
@@ -213,13 +233,18 @@ def central_ratio(n: int, p: int = 64, binom_value: int | None = None) -> Interv
     """Certified enclosure of C(2n, n) * sqrt(pi n) / 4^n.
 
     ``binom_value`` lets sweep loops feed an incrementally maintained
-    C(2n, n) instead of recomputing it.
+    C(2n, n) instead of recomputing it.  After pi * n, each Dyadic step
+    rounds as ``from_int(binom_value) * sqrt(pi(p) * from_int(n)) *
+    exact_pow2(-2n)`` does.
     """
     _require_positive(n)
     if binom_value is None:
         binom_value = central_binomial(n)
-    root = ivl.sqrt(ivl.pi(p) * ivl.from_int(n, p))
-    return ivl.from_int(binom_value, p) * root * ivl.exact_pow2(-2 * n, p)
+    x = ivl.pi(p) * ivl.from_int(n, p)
+    lo, hi = ivl._sqrt(x.lo, p, False), ivl._sqrt(x.hi, p, True)
+    lo = ivl._round(binom_value * lo.man, lo.exp - 2 * n, p, False)
+    hi = ivl._round(binom_value * hi.man, hi.exp - 2 * n, p, True)
+    return ivl._ordered(lo, hi, p)  # every step is monotone and rounds outward
 
 
 def tightness_gap(x: Fraction) -> Fraction:

@@ -19,6 +19,8 @@ from .interval import (
     UNDETERMINED,
     NeedsMorePrecision,
     PrecisionPolicy,
+    exact_pow2,
+    from_int,
     render_escalating,
 )
 
@@ -82,14 +84,14 @@ def _growth_factor_entry(policy: PrecisionPolicy) -> ErrataEntry:
     corrected = _render(lambda p: bd.general_rs_bound(r, s, 1, p).value, 12, policy)
     # literal d_3 = (3-1)/(1-1/3) = 3 under the bound's squared-growth convention
     literal_sq = _render(
-        lambda p: _evaluate(Fraction(9) ** s, Fraction(2 * (r - 1), r), s, exponent, p),
+        lambda p: _evaluate(from_int(9**s, p), Fraction(2 * (r - 1), r), s, exponent, p),
         12,
         policy,
     )
     # same literal value under the single-power growth convention of the
     # original statement this display corrects
     literal_single = _render(
-        lambda p: _evaluate(Fraction(3) ** s, Fraction(2 * (r - 1), r), s, exponent, p),
+        lambda p: _evaluate(from_int(3**s, p), Fraction(2 * (r - 1), r), s, exponent, p),
         12,
         policy,
     )
@@ -112,10 +114,10 @@ def _growth_factor_entry(policy: PrecisionPolicy) -> ErrataEntry:
 def _prefactor_entry(policy: PrecisionPolicy) -> ErrataEntry:
     d2_at_1 = bd.general_exponent(1, 2, 2)
     printed = _render(
-        lambda p: _evaluate(Fraction(2), Fraction(1), 1, d2_at_1, p), 11, policy
+        lambda p: _evaluate(exact_pow2(1, p), Fraction(1), 1, d2_at_1, p), 11, policy
     )
     corrected = _render(
-        lambda p: _evaluate(Fraction(4), Fraction(1), 1, d2_at_1, p), 11, policy
+        lambda p: _evaluate(exact_pow2(2, p), Fraction(1), 1, d2_at_1, p), 11, policy
     )
     return ErrataEntry(
         location="central series-bound display prefactor",

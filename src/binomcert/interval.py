@@ -134,6 +134,11 @@ class IntervalReal:
     are stored unrounded so comparisons against them stay exact).
 
     ``*`` and ``/`` need lo > 0 on both operands; ``-`` takes any sign.
+
+    The constructor checks lo <= hi and prec >= 2.  Results ordered by
+    construction (of ``-``, ``*``, ``/``, from_rational, from_int,
+    exact_pow2, sqrt and exp) come from the private ``_ordered``, which
+    checks neither: its caller guarantees both.
     """
 
     lo: Dyadic
@@ -159,7 +164,7 @@ class IntervalReal:
 
     def __sub__(self, other: "IntervalReal") -> "IntervalReal":
         p = max(self.prec, other.prec)
-        return IntervalReal(
+        return _ordered(  # lo - other.hi <= hi - other.lo, each rounded outward
             _round(*_sub(self.lo, other.hi), p, False),
             _round(*_sub(self.hi, other.lo), p, True),
             p,
@@ -169,17 +174,17 @@ class IntervalReal:
         _require_positive(self, other)
         p = max(self.prec, other.prec)
         if other.lo == other.hi == _ONE:  # exact identity keeps the other's unrounded endpoints
-            return self if self.prec == p else IntervalReal(self.lo, self.hi, p)
+            return self if self.prec == p else _ordered(self.lo, self.hi, p)  # ordered already
         if self.lo == self.hi == _ONE:
-            return other if other.prec == p else IntervalReal(other.lo, other.hi, p)
-        return IntervalReal(
+            return other if other.prec == p else _ordered(other.lo, other.hi, p)
+        return _ordered(  # lo * other.lo <= hi * other.hi on positive operands
             _round(*_mul(self.lo, other.lo), p, False), _round(*_mul(self.hi, other.hi), p, True), p
         )
 
     def __truediv__(self, other: "IntervalReal") -> "IntervalReal":
         _require_positive(self, other)
         p = max(self.prec, other.prec)
-        return IntervalReal(
+        return _ordered(  # lo / other.hi <= hi / other.lo on positive operands
             _round(*_div(self.lo, other.hi, p, False), p, False),
             _round(*_div(self.hi, other.lo, p, True), p, True),
             p,
@@ -187,6 +192,14 @@ class IntervalReal:
 
 
 _ONE = Dyadic(1, 0)
+
+
+def _ordered(lo: Dyadic, hi: Dyadic, p: int) -> IntervalReal:
+    """``IntervalReal(lo, hi, p)`` without its checks (see its docstring)."""
+    iv = object.__new__(IntervalReal)
+    fields = iv.__dict__  # frozen: no __setattr__
+    fields["lo"], fields["hi"], fields["prec"] = lo, hi, p
+    return iv
 
 
 def _require_positive(a: IntervalReal, b: IntervalReal) -> None:
@@ -213,40 +226,44 @@ def _dyadic_ratio(num: Dyadic, den: Dyadic) -> float:
 def scaled_width(a: IntervalReal, b: IntervalReal) -> float:
     """Precision figure for a comparison of two enclosures: the wider of the
     two widths divided by the largest endpoint magnitude.  Unlike a relative
-    width this stays finite when one operand brackets zero."""
-    wa, wb = a.width(), b.width()
-    w = wa if _cmp(wa, wb) >= 0 else wb
-    m = Dyadic(0, 0)
-    for d in (a.lo, a.hi, b.lo, b.hi):
-        ad = Dyadic(abs(d.man), d.exp)
-        if _cmp(ad, m) > 0:
-            m = ad
-    return _dyadic_ratio(w, m)
+    width this stays finite when one operand brackets zero.  The largest
+    magnitude on [lo, hi] is the larger of hi and -lo."""
+    wa, wb = Dyadic(*_sub(a.hi, a.lo)), Dyadic(*_sub(b.hi, b.lo))
+    m = a.hi
+    for d in (Dyadic(-a.lo.man, a.lo.exp), b.hi, Dyadic(-b.lo.man, b.lo.exp)):
+        if _cmp(d, m) > 0:
+            m = d
+    return _dyadic_ratio(wa if _cmp(wa, wb) >= 0 else wb, m)
 
 
 def from_int(i: int, p: int = 53) -> IntervalReal:
     """Zero-width interval holding an exact integer (kept unrounded)."""
     d = dyadic(i)
-    return IntervalReal(d, d, p)
+    return _ordered(d, d, p) if p >= 2 else IntervalReal(d, d, p)  # zero width; p < 2 refused
 
 
 def exact_pow2(e: int, p: int = 53) -> IntervalReal:
     """Zero-width interval holding 2**e exactly, for any sign of e."""
     d = Dyadic(1, e)
-    return IntervalReal(d, d, p)
+    return _ordered(d, d, p) if p >= 2 else IntervalReal(d, d, p)  # zero width; p < 2 refused
 
 
-def from_rational(q: Fraction, p: int) -> IntervalReal:
-    """Tightest enclosure of q at precision p; exact when q is dyadic."""
-    num, den = q.numerator, q.denominator
+def from_rational(q: Fraction | tuple[int, int], p: int) -> IntervalReal:
+    """Tightest enclosure of q, a ``Fraction`` or a pair (num, den > 0), at
+    precision p; exact when den is a power of two.  A pair is taken without
+    a gcd: nested floors and ceilings give the Dyadics of its reduced form,
+    unless that is a dyadic of over p bits, which the reduced form keeps."""
+    if p < 2:
+        raise ValueError("IntervalReal: precision must be >= 2")
+    num, den = q if type(q) is tuple else (q.numerator, q.denominator)
     if den & (den - 1) == 0:  # power of two: exact
         d = dyadic(num, -(den.bit_length() - 1))
-        return IntervalReal(d, d, p)
+        return _ordered(d, d, p)  # zero width
     shift = p + 2 + max(0, den.bit_length() - abs(num).bit_length() + 1)
-    scaled = num << shift
-    lo = _round(scaled // den, -shift, p, False)
-    hi = _round(-((-scaled) // den), -shift, p, True)
-    return IntervalReal(lo, hi, p)
+    floor, rest = divmod(num << shift, den)
+    lo = _round(floor, -shift, p, False)
+    hi = _round(floor + (rest > 0), -shift, p, True)
+    return _ordered(lo, hi, p)  # floor <= ceiling, each rounded outward
 
 
 def certainly_less(a: IntervalReal, b: IntervalReal) -> TriState:
@@ -289,7 +306,7 @@ def sqrt(a: IntervalReal) -> IntervalReal:
     p = a.prec
     # endpoints come back with ~p+2 mantissa bits; requantizing to p would
     # only widen, so keep them (prec still governs downstream rounding)
-    return IntervalReal(_sqrt(a.lo, p, False), _sqrt(a.hi, p, True), p)
+    return _ordered(_sqrt(a.lo, p, False), _sqrt(a.hi, p, True), p)  # sqrt is monotone
 
 
 # -- pi ----------------------------------------------------------------------
@@ -430,7 +447,7 @@ def exp(a: IntervalReal) -> IntervalReal:
     exp(-1.8e6), about the exponent of ``AgievichShifted`` at n = 5,
     k = 3000, comes out 2**-63.9 wide at p = 64.
     """
-    return IntervalReal(_exp(a.lo, a.prec, False), _exp(a.hi, a.prec, True), a.prec)
+    return _ordered(_exp(a.lo, a.prec, False), _exp(a.hi, a.prec, True), a.prec)  # exp is monotone
 
 
 # -- precision policy ----------------------------------------------------------

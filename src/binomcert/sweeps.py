@@ -8,18 +8,19 @@ guessed from midpoints.
 
 Each sweep is a stream of ``(n, (verdict, width), tag)`` decisions that one
 loop turns into a :class:`SweepReport`.  A comparison whose transcendental
-parts cancel is decided in exact rationals and reported with width 0.  The
-alternation, sandwich and order-2 gap decisions compare exp(D_J(n)) with
-R(n) = C(2n,n) sqrt(pi n)/4^n, the bounds scaled by sqrt(pi n)/4^n: R is
-built once per n and precision, and gap2(n+1) is carried to the next n.
+parts cancel is an integer sign test, reported with width 0.  The
+alternation, sandwich and order-2 gap decisions compare exp(D_J(n)), from
+its integer pair, with R(n) = C(2n,n) sqrt(pi n)/4^n, the bounds scaled by
+sqrt(pi n)/4^n: R is built once per n and precision, and gap2(n+1) is
+carried to the next n.
 
 :func:`run_verify` may partition its checks across processes by chunking the
 n-range: every check-chunk task of one run goes through a single process
 pool.  Each of the :data:`VERIFY_CHECKS` yields its decisions in ascending
 n, so its chunk reports concatenate: the counts add up, and the first
 ``FAILURE_CAP`` failures are a sequential run's.  The pool never exceeds
-``os.cpu_count()`` workers.  The module-level caches (Bernoulli, pi) are
-per process: a worker fills its own.
+``os.cpu_count()`` workers.  The module-level caches (Bernoulli, the series
+coefficients, pi) are per process: a worker fills its own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import groupby, pairwise
 from operator import attrgetter
@@ -107,7 +107,7 @@ def _decide_less(make_pair, policy: PrecisionPolicy) -> tuple[str, float]:
 
 
 def _exact(holds: bool) -> tuple[str, float]:
-    """The verdict of a comparison decided in exact rationals: no interval width."""
+    """The verdict of a comparison decided exactly: no interval width."""
     return ("proved" if holds else "failed"), 0.0
 
 
@@ -142,14 +142,15 @@ def dominance_sweep(
     """Order-2 series bound below the Gaussian-form central bound.
 
     The prefactors are identical and exp is monotone, so per n this is the
-    exact rational sign test f(n) > 0 -- no intervals.  At the spot-check
+    sign test f(n) > 0 of :func:`bounds.tightness_gap`, times 72 * 192 n^3:
+    55 * 192 n^2 > 72, in integers -- no intervals.  At the spot-check
     points the full interval route runs too, right after the exact test at
     that n, and must agree.
     """
 
     def decisions():
         for n in range(n_lo, n_hi + 1):
-            yield n, _exact(bd.tightness_gap(Fraction(n)) > 0), "f(n) <= 0"
+            yield n, _exact(55 * 192 * n * n > 72), "f(n) <= 0"
             if n in DOMINANCE_SPOT_CHECKS:
                 pair = lambda p: (bd.central_upper(n, 2, p).value, bd.agievich_central(n, p).value)
                 yield n, _decide_less(pair, policy), "interval route disagrees"
@@ -176,7 +177,7 @@ def _alternation(n_lo: int, n_hi: int, orders: tuple[int, ...], policy: Precisio
     for n, b in central_binomials(n_lo, n_hi):
         ratio = cache(lambda p, n=n, b=b: bd.central_ratio(n, p, b))  # R(n) per precision
         for order in orders:
-            exponent = bd.general_exponent(n, 2, order)
+            exponent = bd.exponent_pair(n, 2, order)
             if order % 2 == 1:
                 pair = lambda p: (ivl.exp(ivl.from_rational(exponent, p)), ratio(p))
                 yield n, _decide_less(pair, policy), f"lower({order}) !< exact"
@@ -187,7 +188,7 @@ def _alternation(n_lo: int, n_hi: int, orders: tuple[int, ...], policy: Precisio
 
 def _ratio_gap(n: int, order: int, b: int, p: int) -> ivl.IntervalReal:
     """exp(order-truncated exponent) - C(2n,n) sqrt(pi n)/4^n, as an interval."""
-    exponent = bd.general_exponent(n, 2, order)
+    exponent = bd.exponent_pair(n, 2, order)
     return ivl.exp(ivl.from_rational(exponent, p)) - bd.central_ratio(n, p, b)
 
 
@@ -199,7 +200,7 @@ def order_improvement_sweep(
     Checks per n in n_lo..n_hi: gap4(n) < gap2(n), and gap2(n+1) < gap2(n),
     which evaluates gap2 at n_hi + 1 too.  The two gaps at one n share the
     C(2n,n) sqrt(pi n)/4^n term and exp is monotone, so the first check is
-    the exact rational test D4(n) < D2(n) of the truncated exponents.
+    D4(n) < D2(n), crosswise on the integer pairs of the truncated exponents.
     gap2(n) = exp(D2(n)) - R(n) is evaluated once per n and precision: the
     gap2(n+1) of step n is reused as gap2(n) at step n+1.
     """
@@ -209,8 +210,8 @@ def order_improvement_sweep(
         # two binomials at a time: memory stays linear in the range
         gap2_next = None
         for (n, b), (n1, b1) in pairwise(central_binomials(n_lo, n_hi + 1)):
-            d4_below_d2 = bd.general_exponent(n, 2, 4) < bd.general_exponent(n, 2, 2)
-            yield n, _exact(d4_below_d2), "gap4 !< gap2"
+            (d4, den4), (d2, den2) = bd.exponent_pair(n, 2, 4), bd.exponent_pair(n, 2, 2)
+            yield n, _exact(d4 * den2 < d2 * den4), "gap4 !< gap2"
             # gap2(n) is the previous step's gap2(n+1), with the precisions it reached
             gap2 = gap2_next or cache(partial(_ratio_gap, n, 2, b))
             gap2_next = cache(partial(_ratio_gap, n1, 2, b1))

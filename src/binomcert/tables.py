@@ -131,8 +131,8 @@ def _cell_makers(table_id: str, n: int):
             lambda p: bd.central_upper(n, 2, p).value,
         )
     if table_id == "table2":
-        d2 = bd.general_exponent(n, 2, 2)
-        d4 = bd.general_exponent(n, 2, 4)
+        d2 = bd.exponent_pair(n, 2, 2)
+        d4 = bd.exponent_pair(n, 2, 4)
         return (
             lambda p: bd.central_ratio(n, p),
             lambda p: ivl.exp(ivl.from_rational(d2, p)),

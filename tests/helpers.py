@@ -14,9 +14,12 @@ exp(1/2) in interval arithmetic (the exp(1/2) cache and
 :func:`reference_exp`, which runs that reduction with its Taylor sums in
 interval arithmetic on the reference product and quotient and on
 :func:`_add`, :func:`reference_round_significant`,
-which rounds to significant digits with exact ``Fraction``s, and
+which rounds to significant digits with exact ``Fraction``s,
 :func:`reference_alternation`, which decides the alternation check on whole
-bounds.
+bounds, :func:`reference_general_exponent`, the ``Fraction`` sum that the
+integer exponent pair replaced, :func:`reference_central_ratio`, the
+composed interval route that ``central_ratio``'s Dyadic steps replaced, and
+:func:`reference_scaled_width`, which normalises the widths it compares.
 
 The interval inspections only tests use are plain functions here:
 :func:`as_fraction` of a ``Dyadic``, and :func:`rel_width`,
@@ -30,7 +33,7 @@ from functools import lru_cache
 import mpmath
 
 from binomcert import bounds
-from binomcert.combinatorics import central_binomials
+from binomcert.combinatorics import bernoulli, central_binomial, central_binomials
 from binomcert.interval import (
     Dyadic,
     IntervalReal,
@@ -41,7 +44,10 @@ from binomcert.interval import (
     _norm,
     _round,
     _sub,
+    exact_pow2,
     from_int,
+    pi,
+    sqrt,
 )
 from binomcert.sweeps import _decide_less
 
@@ -367,3 +373,43 @@ def reference_alternation(n_lo, n_hi, orders, policy):
             else:
                 pair = lambda p: (from_int(b, p), bounds.central_upper(n, order, p).value)
                 yield n, _decide_less(pair, policy), f"exact !< upper({order})"
+
+
+# -- reference exponent, central ratio and scaled width -------------------------
+
+
+def reference_general_exponent(s: int, r: int, order: int) -> Fraction:
+    """``bounds.general_exponent`` before the integer pair: the ``Fraction``
+    terms t_j(r) / s^(2j-1), each from its Bernoulli number, summed."""
+    return sum(
+        (
+            bernoulli(2 * j)
+            / (2 * j * (2 * j - 1))
+            * (Fraction(1, r ** (2 * j - 1)) - 1 - Fraction(1, (r - 1) ** (2 * j - 1)))
+            / s ** (2 * j - 1)
+            for j in range(1, order + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def reference_central_ratio(n: int, p: int, binom_value: int | None = None) -> IntervalReal:
+    """``bounds.central_ratio`` before its Dyadic steps: the composed
+    interval route C(2n, n) * sqrt(pi * n) * 2**(-2n)."""
+    if binom_value is None:
+        binom_value = central_binomial(n)
+    root = sqrt(pi(p) * from_int(n, p))
+    return from_int(binom_value, p) * root * exact_pow2(-2 * n, p)
+
+
+def reference_scaled_width(a: IntervalReal, b: IntervalReal) -> float:
+    """``interval.scaled_width`` before it skipped normalising: the wider of
+    the two normalised widths over the largest endpoint magnitude."""
+    wa, wb = a.width(), b.width()
+    w = wa if _cmp(wa, wb) >= 0 else wb
+    m = Dyadic(0, 0)
+    for d in (a.lo, a.hi, b.lo, b.hi):
+        ad = Dyadic(abs(d.man), d.exp)
+        if _cmp(ad, m) > 0:
+            m = ad
+    return _dyadic_ratio(w, m)

@@ -8,7 +8,12 @@ import binomcert.bounds as bd
 from binomcert import interval as ivl
 from binomcert.combinatorics import catalan, central_binomial
 from binomcert.interval import TriState, certainly_less, from_int, render_significant
-from helpers import assert_encloses, bernoulli_akiyama_tanigawa
+from helpers import (
+    assert_encloses,
+    bernoulli_akiyama_tanigawa,
+    reference_central_ratio,
+    reference_general_exponent,
+)
 
 
 # -- series coefficients ----------------------------------------------------------
@@ -261,6 +266,29 @@ def test_general_exponent_matches_defining_sum():
                 assert bd.general_exponent(s, r, order) == total, (r, s, order)
 
 
+def test_exponent_pair_is_the_reference_fraction_sum():
+    """The integer pair, a Horner sum over L * s^(2 order - 1), is the
+    ``Fraction`` sum it replaced, with a positive denominator."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(
+        st.one_of(st.integers(1, 100), st.integers(1, 10**12)),
+        st.integers(2, 5),
+        st.integers(1, 20),
+    )
+    @hypothesis.example(1, 2, 1)
+    @hypothesis.example(1, 5, 20)
+    def check(s, r, order):
+        num, den = bd.exponent_pair(s, r, order)
+        assert den > 0
+        assert Fraction(num, den) == bd.general_exponent(s, r, order)
+        assert bd.general_exponent(s, r, order) == reference_general_exponent(s, r, order)
+
+    check()
+
+
 # -- central ratio ------------------------------------------------------------------
 
 
@@ -275,6 +303,32 @@ def test_central_ratio_oracle():
 
 def test_central_ratio_accepts_precomputed_binomial():
     assert bd.central_ratio(9, 64, central_binomial(9)) == bd.central_ratio(9, 64)
+
+
+def test_central_ratio_is_the_composed_route():
+    """Each Dyadic step rounds as the composed interval route does, on the
+    same side and at the same precision: at n = 1 (pi kept unrounded by
+    the exact-one product), at powers of two and up to n = 10^5."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.one_of(
+            st.integers(1, 400),
+            st.integers(0, 16).map(lambda k: 2**k),
+            st.integers(1, 10**5),
+        ),
+        st.sampled_from((2, 3, 8, 64, 128, 256, 512)),
+    )
+    @hypothesis.example(1, 64)
+    @hypothesis.example(1, 2)
+    @hypothesis.example(2, 64)
+    @hypothesis.example(10**5, 512)
+    def check(n, p):
+        assert bd.central_ratio(n, p) == reference_central_ratio(n, p)
+
+    check()
 
 
 # -- tightness comparison -------------------------------------------------------------
@@ -298,6 +352,14 @@ def test_tightness_agrees_with_interval_route():
         upper_series = bd.sasvari_pair(n, 64)[1].value
         upper_gauss = bd.agievich_central(n, 64).value
         assert certainly_less(upper_series, upper_gauss) is TriState.YES
+
+
+def test_tightness_sign_is_the_integer_test():
+    # dominance_sweep decides f(n) > 0 as 55 * 192 n^2 > 72, f times 72 * 192 n^3;
+    # the rationals here straddle the root x = sqrt(72 / (55 * 192)) = 0.08257...
+    for x in (Fraction(k, 10**4) for k in range(800, 850)):
+        assert (bd.tightness_gap(x) > 0) == (55 * 192 * x * x > 72), x
+    assert bd.tightness_gap(Fraction(825, 10**4)) < 0 < bd.tightness_gap(Fraction(826, 10**4))
 
 
 def test_gap_positive_and_vanishing():

@@ -95,6 +95,11 @@ def _cases() -> dict[str, str]:
             "usage_bound_order19_n1.md": "bound 1 CentralOrderN --order 19",
             "usage_bound_order20_n1.md": "bound 1 CentralOrderN --order 20",
             "usage_bound_shifted_k100000.md": "bound 5 AgievichShifted --k 100000",
+            # refused in well under a second, before any power of 4^n or
+            # (r^r/(r-1)^(r-1))^s of a billion digits is built
+            "usage_bound_n1e9.md": "bound 1000000000 SasvariUpper",
+            "usage_bound_n1e10.md": "bound 10000000000 SasvariUpper",
+            "usage_bound_generalrs_s1e9.md": "bound 1000000000 GeneralRS --r 3",
             # an --out file that cannot be created is not a failed check
             "out_unwritable.md": "bound 5 SasvariUpper --out /nonexistent_dir/x.md",
             # exp of a wide interval at 4 to 16 bits, of a large negative

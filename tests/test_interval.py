@@ -17,6 +17,7 @@ from binomcert.interval import (
     PrecisionPolicy,
     TriState,
     certainly_less,
+    exact_pow2,
     exp,
     from_int,
     from_rational,
@@ -25,6 +26,7 @@ from binomcert.interval import (
     render_escalating,
     render_significant,
     round_significant,
+    scaled_width,
     sqrt,
 )
 from binomcert.interval import _HUTTON, _pi_from_formula  # a second, structurally different pi series
@@ -43,6 +45,7 @@ from helpers import (
     reference_exp,
     reference_mul,
     reference_round_significant,
+    reference_scaled_width,
     rel_width,
 )
 
@@ -77,6 +80,50 @@ def test_interval_validation():
         IntervalReal(Dyadic(2, 0), Dyadic(1, 0), 16)
     with pytest.raises(ValueError):
         from_rational(Fraction(1, 3), 1)
+    with pytest.raises(ValueError):
+        from_rational((2, 6), 1)
+    with pytest.raises(ValueError):
+        from_int(1, 1)
+
+
+def test_from_rational_takes_the_unreduced_pair():
+    """Without a gcd, an unreduced pair gives the Dyadics of its reduced
+    ``Fraction``: always for the series exponents, and for any pair but one
+    whose reduced form is a dyadic of more than p bits, kept exact there."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    precs = st.sampled_from((2, 3, 8, 64, 512))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(1, 10**6), st.integers(2, 5), st.integers(1, 20), precs)
+    @hypothesis.example(1, 2, 1, 2)  # -1/8: a power-of-two denominator, exact
+    @hypothesis.example(64, 2, 1, 3)
+    @hypothesis.example(64, 2, 2, 512)
+    def check_series(n, r, order, p):
+        pair = bd.exponent_pair(n, r, order)
+        assert from_rational(pair, p) == from_rational(Fraction(*pair), p)
+
+    @hypothesis.settings(max_examples=600, deadline=None)
+    @hypothesis.given(
+        st.integers(-(2**200), 2**200),
+        st.one_of(st.integers(1, 2**200), st.integers(0, 200).map(lambda k: 2**k)),
+        st.integers(1, 2**70),
+        precs,
+    )
+    @hypothesis.example(3, 4, 3, 2)  # 9/12: dyadic, 2 bits
+    @hypothesis.example(7, 8, 3, 2)  # 21/24: dyadic, 3 bits at p = 2
+    @hypothesis.example(0, 1, 5, 8)
+    def check_any(num, den, g, p):
+        q = Fraction(num, den)
+        got = from_rational((q.numerator * g, q.denominator * g), p)
+        dyadic_q = q.denominator & (q.denominator - 1) == 0
+        if dyadic_q and abs(q.numerator).bit_length() > p:
+            assert contains(got, q)
+        else:
+            assert got == from_rational(q, p)
+
+    check_series()
+    check_any()
 
 
 @pytest.mark.parametrize(
@@ -204,6 +251,84 @@ def test_mul_div_agree_with_reference_routes():
             lo, hi = interval._round(*ref.lo, p, False), interval._round(*ref.hi, p, True)
             ref = IntervalReal(lo, hi, p)
         assert a / b == ref
+
+    check()
+
+
+def test_private_constructor_builds_ordered_intervals(monkeypatch):
+    """Every interval ``_ordered`` builds in random chains of ``-``, ``*``,
+    ``/``, sqrt and exp on exact and rounded inputs has lo <= hi."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    built = []
+    ordered = interval._ordered
+
+    def recording(lo, hi, p):
+        built.append((lo, hi, p))
+        return ordered(lo, hi, p)
+
+    monkeypatch.setattr(interval, "_ordered", recording)
+    rationals = st.fractions(-(10**6), 10**6, max_denominator=10**6)
+    ops = st.sampled_from(("sub", "mul", "div", "sqrt", "exp"))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.lists(rationals, min_size=1, max_size=4),
+        st.lists(st.tuples(ops, st.integers(0, 99), st.integers(0, 99)), max_size=12),
+        st.sampled_from((2, 3, 16, 64, 256)),
+    )
+    def check(qs, steps, p):
+        built.clear()
+        pool = [from_int(7, p), exact_pow2(-3, p)]
+        pool += [from_rational(q, p) for q in qs]
+        pool += [from_rational((3 * q.numerator, 3 * q.denominator), p) for q in qs]
+        for op, i, j in steps:
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            positive = a.lo.man > 0 and b.lo.man > 0
+            if op in ("mul", "div") and positive:
+                pool.append(a * b if op == "mul" else a / b)
+            elif op == "sqrt" and a.lo.man >= 0:
+                pool.append(sqrt(a))
+            elif op == "exp" and frac(a.hi) < 40:
+                pool.append(exp(a))
+            else:
+                pool.append(a - b)
+        assert len(built) >= 2 + 2 * len(qs)  # one per input at least; products by one reuse
+        assert all(interval._cmp(lo, hi) <= 0 and q >= 2 for lo, hi, q in built)
+
+    check()
+
+
+def test_scaled_width_is_the_normalising_route():
+    """The unnormalised widths and hi-or-minus-lo magnitudes give the
+    reference's float on positive, negative, straddling and exact pairs."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def neg(d):
+        return Dyadic(-d.man, d.exp)
+
+    @st.composite
+    def enclosure(draw):
+        kind = draw(st.sampled_from(("positive", "negative", "straddling", "exact", "zero")))
+        if kind == "zero":
+            return from_int(0, 64)
+        lo = interval.dyadic(draw(st.integers(1, 2**300)), draw(st.integers(-400, 400)))
+        if kind == "exact":
+            d = lo if draw(st.booleans()) else neg(lo)
+            return IntervalReal(d, d, 64)
+        w = interval.dyadic(draw(st.integers(1, 2**300)), draw(st.integers(-400, 400)))
+        if kind == "straddling":
+            return IntervalReal(neg(lo), w, 64)
+        hi = interval.dyadic(*_add(lo, w))
+        return IntervalReal(lo, hi, 64) if kind == "positive" else IntervalReal(neg(hi), neg(lo), 64)
+
+    @hypothesis.settings(max_examples=800, deadline=None)
+    @hypothesis.given(enclosure(), enclosure())
+    @hypothesis.example(from_int(0, 64), from_int(0, 64))
+    @hypothesis.example(from_int(5, 64), from_int(-5, 64))
+    def check(a, b):
+        assert scaled_width(a, b) == reference_scaled_width(a, b)
 
     check()
 
