@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, log10
+from math import lcm, log2, log10
 
 from . import interval as ivl
 from .combinatorics import bernoulli, central_binomial
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 MAX_SERIES_ORDER = 20  # asymptotic series; stay well inside the useful regime
+MAX_GROWTH_BITS = 2**22  # cap on r^(rs) in d_r^(2s): its division is quadratic
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,17 @@ def _series_bound(r: int, s: int, order: int, p: int) -> BoundResult:
     e = s * (r * log10(r) - (r - 1) * log10(r - 1))
     if r > 2 and e > ivl.MAX_DECIMAL_EXPONENT + 100:
         ivl._refuse_exponent(int(e))
-    growth = Fraction(r**r, (r - 1) ** (r - 1))  # d_r^2
-    scale = ivl.exact_pow2(2 * s, p) if r == 2 else ivl.from_rational(growth**s, p)
+    if r == 2:
+        scale = ivl.exact_pow2(2 * s, p)
+    else:
+        # d_r^(2s) = r^(rs) / (r-1)^((r-1)s), in lowest terms: gcd(r, r-1) = 1
+        bits = r * s * log2(r)
+        if bits > MAX_GROWTH_BITS:
+            raise ValueError(
+                f"general_rs_bound: r^(rs) has about {int(bits)} bits, "
+                f"over {MAX_GROWTH_BITS} (MAX_GROWTH_BITS)"
+            )
+        scale = ivl.from_rational((r ** (r * s), (r - 1) ** ((r - 1) * s)), p)
     exponent = general_exponent(s, r, order)
     sqrt_scale = Fraction(2 * (r - 1), r)  # 2 * (1 - 1/r); times pi*s under the root
     return BoundResult(exponent, _evaluate(scale, sqrt_scale, s, exponent, p))

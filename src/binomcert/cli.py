@@ -106,7 +106,12 @@ def _build_parser() -> _Parser:
         f"{' '.join(map(str, DEFAULT_ORDERS))})",
     )
     p_verify.add_argument(
-        "--jobs", type=int, default=1, help="partition the n-range over processes"
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="run the verify checks in up to N processes, one per check; "
+        "past 2, the longest check (alternation) bounds the time",
     )
 
     p_bound = sub.add_parser(

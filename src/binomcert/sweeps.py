@@ -14,13 +14,10 @@ its integer pair, with R(n) = C(2n,n) sqrt(pi n)/4^n, the bounds scaled by
 sqrt(pi n)/4^n: R is built once per n and precision, and gap2(n+1) is
 carried to the next n.
 
-:func:`run_verify` may partition its checks across processes by chunking the
-n-range: every check-chunk task of one run goes through a single process
-pool.  Each of the :data:`VERIFY_CHECKS` yields its decisions in ascending
-n, so its chunk reports concatenate: the counts add up, and the first
-``FAILURE_CAP`` failures are a sequential run's.  The pool never exceeds
-``os.cpu_count()`` workers.  The module-level caches (Bernoulli, the series
-coefficients, pi) are per process: a worker fills its own.
+:func:`run_verify` may run its checks in separate processes, one task per
+check over its whole range, so each report is a sequential run's.  The
+module-level caches (Bernoulli, the series coefficients, pi) are per
+process: a worker fills its own.
 """
 
 from __future__ import annotations
@@ -28,10 +25,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import cache, partial, reduce
-from itertools import groupby, pairwise
-from operator import attrgetter
+from dataclasses import dataclass, field
+from functools import cache, partial
+from itertools import pairwise
 
 from . import bounds as bd
 from . import interval as ivl
@@ -63,7 +59,7 @@ class SweepReport:
     failed: int = 0
     undecided: int = 0
     worst_rel_width: float = 0.0
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # seconds of this check, in the process that ran it
     failures: list = field(default_factory=list)  # (n, detail) pairs, capped
 
     @property
@@ -76,22 +72,6 @@ class SweepReport:
             self.worst_rel_width = width
         if verdict != "proved" and len(self.failures) < FAILURE_CAP:
             self.failures.append((n, detail))
-
-    def merged(self, other: "SweepReport") -> "SweepReport":
-        """This check's report over its n-range, then ``other``'s, the next one;
-        decisions ascend in n, so the capped failure lists concatenate."""
-        if other.check != self.check or other.n_lo != self.n_hi + 1:
-            raise ValueError("can only merge the next n-range of the same check")
-        return replace(
-            self,
-            n_hi=other.n_hi,
-            proved=self.proved + other.proved,
-            failed=self.failed + other.failed,
-            undecided=self.undecided + other.undecided,
-            worst_rel_width=max(self.worst_rel_width, other.worst_rel_width),
-            wall_time=self.wall_time + other.wall_time,
-            failures=(self.failures + other.failures)[:FAILURE_CAP],
-        )
 
 
 def _decide_less(make_pair, policy: PrecisionPolicy) -> tuple[str, float]:
@@ -248,13 +228,6 @@ def general_r_sweep(
 VERIFY_CHECKS = ("sandwich", "dominance", "alternation", "order_improvement")
 
 
-def _split_range(n_lo: int, n_hi: int, parts: int) -> list[tuple[int, int]]:
-    count = n_hi - n_lo + 1
-    parts = max(1, min(parts, count))
-    step = (count + parts - 1) // parts
-    return [(a, min(a + step - 1, n_hi)) for a in range(n_lo, n_hi + 1, step)]
-
-
 def _run_task(task) -> SweepReport:
     sweep, n_lo, n_hi, kwargs = task
     return sweep(n_lo, n_hi, **kwargs)
@@ -268,14 +241,11 @@ def run_verify(
 ) -> list[SweepReport]:
     """Run the :data:`VERIFY_CHECKS` over 1..max_n (order_improvement from 2).
 
-    Each check's range is cut into ``jobs`` chunks.  With ``jobs > 1`` every
-    check-chunk task runs through one process pool of at most ``jobs``
-    workers, and never more than ``os.cpu_count()``; otherwise the tasks run
-    in this process.  Chunking follows ``jobs`` whatever the pool's size.
-    Every check decides in ascending n, so its chunk reports concatenate:
-    verdicts and counts equal a sequential run's, and so do the first
-    ``FAILURE_CAP`` failures.  The ``wall_time`` of a fanned-out check is the
-    sum of its chunks' times, since the checks share the pool's workers.
+    Each check is one task over its whole range.  With ``jobs > 1`` the tasks
+    run through one process pool of at most ``jobs`` workers, one per task
+    and never more than ``os.cpu_count()``; with fewer than two such workers
+    they run in this process.  Either way a check runs whole in one process:
+    its report is a sequential run's, and its ``wall_time`` is its own.
     """
     if max_n < 1:
         raise ValueError("run_verify: max_n must be >= 1")
@@ -285,15 +255,9 @@ def run_verify(
         (alternation_sweep, 1, {"orders": orders, "policy": policy}),
         (order_improvement_sweep, 2, {"policy": policy}),
     ]
-    tasks = [
-        (sweep, a, b, kwargs)
-        for sweep, n_lo, kwargs in checks
-        if n_lo <= max_n
-        for a, b in _split_range(n_lo, max_n, jobs)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_run_task, tasks))
-    else:
-        parts = [_run_task(task) for task in tasks]
-    return [reduce(SweepReport.merged, group) for _, group in groupby(parts, attrgetter("check"))]
+    tasks = [(sweep, n_lo, max_n, kwargs) for sweep, n_lo, kwargs in checks if n_lo <= max_n]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers < 2:
+        return [_run_task(task) for task in tasks]
+    with ProcessPoolExecutor(workers) as pool:
+        return list(pool.map(_run_task, tasks))

@@ -250,6 +250,30 @@ def test_general_bound_domain():
         bd.general_rs_bound(3, 5, 0)
 
 
+def test_growth_pair_is_the_reduced_fraction():
+    # r^(rs) / (r-1)^((r-1)s) is in lowest terms, so it encloses d_r^(2s) in
+    # the Dyadics of the reduced Fraction (r^r / (r-1)^(r-1))^s, and the bound
+    # built from it is the one built from that Fraction
+    for r in range(3, 7):
+        growth = Fraction(r**r, (r - 1) ** (r - 1))
+        for s in range(1, 201):
+            pair = (r ** (r * s), (r - 1) ** ((r - 1) * s))
+            for p in (64, 512):
+                scale = ivl.from_rational(growth**s, p)
+                assert ivl.from_rational(pair, p) == scale
+                exponent = bd.general_exponent(s, r, 2)
+                composed = bd._evaluate(scale, Fraction(2 * (r - 1), r), s, exponent, p)
+                assert bd.general_rs_bound(r, s, 1, p).value == composed
+
+
+def test_general_rs_refuses_a_huge_growth_factor():
+    # about r s log2(r) bits of r^(rs), refused before the power is built
+    bd.general_rs_bound(100_000, 2, 1)  # 3.3 Mbit
+    for r, s in ((100_000, 3), (10**6, 1), (10**7, 1), (3, 882_104)):
+        with pytest.raises(ValueError, match="MAX_GROWTH_BITS"):
+            bd.general_rs_bound(r, s, 1)
+
+
 def test_general_exponent_matches_defining_sum():
     # the Binet summand for log C(rs, s) term by term, with Bernoulli numbers
     # from an independent oracle; r = 2 is the central series

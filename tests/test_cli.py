@@ -100,6 +100,9 @@ def _cases() -> dict[str, str]:
             "usage_bound_n1e9.md": "bound 1000000000 SasvariUpper",
             "usage_bound_n1e10.md": "bound 10000000000 SasvariUpper",
             "usage_bound_generalrs_s1e9.md": "bound 1000000000 GeneralRS --r 3",
+            # refused before r^(rs) of 20 and 233 million bits is built
+            "usage_bound_generalrs_r1e6.md": "bound 1 GeneralRS --r 1000000",
+            "usage_bound_generalrs_r1e7.md": "bound 1 GeneralRS --r 10000000",
             # an --out file that cannot be created is not a failed check
             "out_unwritable.md": "bound 5 SasvariUpper --out /nonexistent_dir/x.md",
             # exp of a wide interval at 4 to 16 bits, of a large negative

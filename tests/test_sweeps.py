@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from binomcert import bounds, sweeps
+from binomcert import bounds, combinatorics, sweeps
 from binomcert.combinatorics import central_binomial
 from binomcert.interval import DEFAULT_POLICY, PrecisionPolicy
 from binomcert.sweeps import (
@@ -106,7 +106,8 @@ def test_sandwich_is_alternation_at_orders_1_and_2(policy):
 
 
 # the starved policies leave verdicts undecided, and three of the four checks
-# reach FAILURE_CAP, so the cap's cut across chunks is covered too
+# reach FAILURE_CAP, so the capped failure lists of the fanned-out run are
+# compared too
 @pytest.mark.parametrize("policy", [DEFAULT_POLICY, TINY, PrecisionPolicy(4, 8)])
 def test_chunked_equals_sequential(policy):
     seq = [_strip_timing(r) for r in run_verify(120, policy=policy, jobs=1)]
@@ -126,18 +127,21 @@ def test_run_verify_uses_one_pool_per_run(monkeypatch):
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)  # so 1-CPU runners cap nothing
     run_verify(30, jobs=2)
-    assert made == [(2,)]  # one pool of two workers for all eight tasks
+    assert made == [(2,)]  # one pool of two workers for all four tasks
     run_verify(30, jobs=1)
     assert made == [(2,)]
 
 
-def test_run_verify_caps_pool_at_cpu_count(monkeypatch):
-    # a recording stand-in for the pool: it forks nothing and maps in process
-    asked = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in for the pool: it forks nothing, maps in process and records
+    the workers asked for and the tasks mapped."""
 
     class RecordingPool:
+        asked, mapped = [], []
+
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            self.asked.append(max_workers)
 
         def __enter__(self):
             return self
@@ -146,21 +150,57 @@ def test_run_verify_caps_pool_at_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            tasks = list(tasks)
+            self.mapped.append(tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_run_verify_caps_pool_at_cpu_count(monkeypatch, recording_pool):
     seq = [_strip_timing(r) for r in run_verify(60, jobs=1)]
-    for cpus, expected in ((2, 2), (None, 1), (64, 64)):
+    assert recording_pool.asked == []
+    for cpus, expected in ((2, [2]), (None, []), (64, [4])):
         monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
-        asked.clear()
+        recording_pool.asked.clear()
         reports = run_verify(60, jobs=500)
-        assert asked == [expected]
-        # chunking still follows jobs, so the reports equal a sequential run's
+        assert recording_pool.asked == expected  # no pool of one worker
         assert [_strip_timing(r) for r in reports] == seq
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
-    asked.clear()
-    run_verify(2, jobs=500)  # 7 one-n tasks: the task count caps the pool
-    assert asked == [7]
+    recording_pool.asked.clear()
+    run_verify(2, jobs=500)  # four tasks, one per check: the task count caps the pool
+    assert recording_pool.asked == [4]
+
+
+def test_run_verify_maps_one_task_per_check(monkeypatch, recording_pool):
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
+    calls = {"binomial": 0, "central_ratio": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(combinatorics, "binomial", counting("binomial", combinatorics.binomial))
+    monkeypatch.setattr(bounds, "central_ratio", counting("central_ratio", bounds.central_ratio))
+    run_verify(60, jobs=1)  # fills the Bernoulli cache, whose recurrence calls binomial
+    calls.update(binomial=0, central_ratio=0)
+    run_verify(60, jobs=1)
+    sequential = dict(calls)
+    calls.update(binomial=0, central_ratio=0)
+    run_verify(60, jobs=3)
+    [tasks] = recording_pool.mapped
+    assert [(sweep.__name__, n_lo, n_hi) for sweep, n_lo, n_hi, _ in tasks] == [
+        ("sandwich_sweep", 1, 60),
+        ("dominance_sweep", 1, 60),
+        ("alternation_sweep", 1, 60),
+        ("order_improvement_sweep", 2, 60),
+    ]
+    # no C(2n, n) rebuilt and no gap2 evaluated twice at a range boundary
+    assert calls == sequential
 
 
 def test_order_gap_rational_verdict_matches_interval_route():
@@ -242,20 +282,6 @@ def test_order_improvement_carry_matches_rebuilt_gaps():
     rebuilt = _strip_timing(_rebuilt_order_improvement(2, 200, policy))
     assert (carried["proved"], carried["failed"], carried["undecided"]) == (398, 0, 0)
     assert carried == rebuilt
-
-
-def test_merged_requires_same_check():
-    a = sandwich_sweep(1, 5)
-    b = dominance_sweep(1, 5)
-    with pytest.raises(ValueError):
-        a.merged(b)
-    # and the next n-range of that check, nothing else
-    after_gap, following = sandwich_sweep(7, 9), sandwich_sweep(6, 9)
-    assert _strip_timing(a.merged(following)) == _strip_timing(sandwich_sweep(1, 9))
-    with pytest.raises(ValueError):
-        a.merged(after_gap)
-    with pytest.raises(ValueError):
-        following.merged(a)
 
 
 def test_decide_less_measures_the_final_pair_only(monkeypatch):
