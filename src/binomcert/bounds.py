@@ -229,7 +229,8 @@ def general_rs_bound(r: int, s: int, order: int, p: int = 64) -> BoundResult:
     Stirling-consistent, d_r^2 = r^r / (r-1)^(r-1) -- the unique choice for
     which the remainder series D converges to the actual log ratio.  Since
     d_r^2 is rational, d_r^(2s) is carried exactly; no square root of d is
-    ever needed.  At r = 2 this is central_upper(s, 2*order).  2*order
+    ever needed; an r^(rs) of over MAX_GROWTH_BITS bits is refused before
+    it is built.  At r = 2 this is central_upper(s, 2*order).  2*order
     counts against the series order cap, so order <= 10.
     """
     if r < 2:

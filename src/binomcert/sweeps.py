@@ -241,11 +241,11 @@ def run_verify(
 ) -> list[SweepReport]:
     """Run the :data:`VERIFY_CHECKS` over 1..max_n (order_improvement from 2).
 
-    Each check is one task over its whole range.  With ``jobs > 1`` the tasks
-    run through one process pool of at most ``jobs`` workers, one per task
-    and never more than ``os.cpu_count()``; with fewer than two such workers
-    they run in this process.  Either way a check runs whole in one process:
-    its report is a sequential run's, and its ``wall_time`` is its own.
+    Each check is one task over its whole range.  The tasks run through one
+    process pool of ``min(jobs, tasks, os.cpu_count())`` workers when that
+    is at least 2, and in this process otherwise.  Either way a check runs
+    whole in one process: its report is a sequential run's, and its
+    ``wall_time`` is its own.
     """
     if max_n < 1:
         raise ValueError("run_verify: max_n must be >= 1")
