@@ -28,6 +28,7 @@ from .combinatorics import (
 )
 from .errata import ErrataEntry, build_errata
 from .interval import (
+    DomainError,
     Dyadic,
     IntervalReal,
     NeedsMorePrecision,

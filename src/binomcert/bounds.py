@@ -36,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, log2, log10
+from math import lcm, log2
 
 from . import interval as ivl
 from .combinatorics import bernoulli, central_binomial
-from .interval import IntervalReal
+from .interval import DomainError, IntervalReal
 
 __all__ = [
     "BoundResult",
@@ -87,9 +87,9 @@ def _coefficients(order: int, r: int) -> tuple[int, tuple[int, ...]]:
 
 
 def check_series_order(order: int) -> None:
-    """Refuse a series order outside 1..MAX_SERIES_ORDER with ``ValueError``."""
+    """Refuse a series order outside 1..MAX_SERIES_ORDER with :class:`DomainError`."""
     if not 1 <= order <= MAX_SERIES_ORDER:
-        raise ValueError(f"series order must be in 1..{MAX_SERIES_ORDER}")
+        raise DomainError(f"series order must be in 1..{MAX_SERIES_ORDER}")
 
 
 def exponent_pair(s: int, r: int, order: int) -> tuple[int, int]:
@@ -103,7 +103,7 @@ def exponent_pair(s: int, r: int, order: int) -> tuple[int, int]:
     Horner sum of the t_j L in s^2 over L s^(2 order - 1).
     """
     if r < 2 or s < 1:
-        raise ValueError("general_exponent: need r >= 2, s >= 1")
+        raise DomainError("general_exponent: need r >= 2, s >= 1")
     check_series_order(order)
     den, cs = _coefficients(order, r)
     s2, num = s * s, 0
@@ -130,14 +130,14 @@ def _evaluate(scale: IntervalReal, sqrt_scale: Fraction, n: int, exponent: Fract
 
 def _require_positive(n: int) -> None:
     if n < 1:
-        raise ValueError("n must be >= 1: the 1/sqrt(pi n) prefactor is singular at 0")
+        raise DomainError("n must be >= 1: the 1/sqrt(pi n) prefactor is singular at 0")
 
 
 def agievich_general(n: int, k: int, p: int = 64) -> BoundResult:
     """Gaussian-form bound on C(n, k): 2^n / sqrt(pi n/2) * exp(-(2/n)(k-n/2)^2 + 23/(18n))."""
     _require_positive(n)
     if not 0 <= k <= n:
-        raise ValueError("agievich_general: need 0 <= k <= n")
+        raise DomainError("agievich_general: need 0 <= k <= n")
     exponent = Fraction(-((2 * k - n) ** 2), 2 * n) + Fraction(23, 18 * n)
     value = _evaluate(ivl.exact_pow2(n, p), Fraction(1, 2), n, exponent, p)
     return BoundResult(exponent, value)
@@ -176,21 +176,10 @@ def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
 def _series_bound(r: int, s: int, order: int, p: int) -> BoundResult:
     """c_r * d_r^(2s) / sqrt(s) * exp(D_order(s, r)): the one body of every
     series bound; at r = 2 it is 4^s / sqrt(pi s) * exp(D_order(s, 2))."""
-    # log10 of the bound is at most about 4 below e (the c_r / sqrt(s) factor):
-    # refuse a value too long to render before building its power
-    e = s * (r * log10(r) - (r - 1) * log10(r - 1))
-    if r > 2 and e > ivl.MAX_DECIMAL_EXPONENT + 100:
-        ivl._refuse_exponent(int(e))
     if r == 2:
         scale = ivl.exact_pow2(2 * s, p)
     else:
         # d_r^(2s) = r^(rs) / (r-1)^((r-1)s), in lowest terms: gcd(r, r-1) = 1
-        bits = r * s * log2(r)
-        if bits > MAX_GROWTH_BITS:
-            raise ValueError(
-                f"general_rs_bound: r^(rs) has about {int(bits)} bits, "
-                f"over {MAX_GROWTH_BITS} (MAX_GROWTH_BITS)"
-            )
         scale = ivl.from_rational((r ** (r * s), (r - 1) ** ((r - 1) * s)), p)
     exponent = general_exponent(s, r, order)
     sqrt_scale = Fraction(2 * (r - 1), r)  # 2 * (1 - 1/r); times pi*s under the root
@@ -216,7 +205,7 @@ def central_lower(n: int, order: int, p: int = 64) -> BoundResult:
 def catalan_upper(n: int, order: int, p: int = 64) -> BoundResult:
     """Catalan upper bound: the even-order central bound divided by (n + 1)."""
     if order not in (2, 4):
-        raise ValueError("catalan_upper: supported orders are 2 and 4")
+        raise DomainError("catalan_upper: supported orders are 2 and 4")
     base = central_upper(n, order, p)
     value = base.value / ivl.from_int(n + 1, p)
     return BoundResult(base.exponent, value)
@@ -234,9 +223,16 @@ def general_rs_bound(r: int, s: int, order: int, p: int = 64) -> BoundResult:
     counts against the series order cap, so order <= 10.
     """
     if r < 2:
-        raise ValueError("general_rs_bound: need r >= 2")
+        raise DomainError("general_rs_bound: need r >= 2")
     if s < 1 or order < 1:
-        raise ValueError("general_rs_bound: need s >= 1 and order >= 1")
+        raise DomainError("general_rs_bound: need s >= 1 and order >= 1")
+    num, den = log2(r).as_integer_ratio()  # an int product: no s overflows it
+    bits = r * s * num // den
+    if bits > MAX_GROWTH_BITS:
+        raise DomainError(
+            f"general_rs_bound: r^(rs) has about {ivl._about(bits)} bits, "
+            f"over {MAX_GROWTH_BITS} (MAX_GROWTH_BITS)"
+        )
     return _series_bound(r, s, 2 * order, p)
 
 

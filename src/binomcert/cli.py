@@ -5,7 +5,9 @@ Exit codes: 0 all checks proved/matched; 1 at least one failed or
 mismatched; 2 undecided results present (always for ``verify``, under
 ``--strict`` for ``table`` and ``bound``, and for ``errata``, whose evidence
 must be proved in full: it then prints one line on stderr and no payload);
-64 usage or domain error; 70 internal error (any other exception, one line on
+64 usage error: a bad option, or a :class:`~binomcert.interval.DomainError`
+for an argument the package does not accept (one line on stderr); 70
+internal error: any other exception, ``ValueError`` included (one line on
 stderr); 73 the ``--out`` file could not be written (one line on stderr).
 
 Output is deterministic: identical invocations produce byte-identical
@@ -29,6 +31,7 @@ from .errata import ErrataEntry, build_errata
 from .interval import (
     DEFAULT_POLICY,
     UNDETERMINED,
+    DomainError,
     NeedsMorePrecision,
     PrecisionPolicy,
     render_escalating,
@@ -173,20 +176,24 @@ def _emit(args, doc, header, rows, md) -> None:
         raise SystemExit(EXIT_CANTCREAT) from None
 
 
+def _md_table(title: str, header, rows) -> str:
+    """A ``# title`` heading, a blank line and the markdown table of ``rows``
+    under ``header``; every line, the last one too, ends in a newline."""
+
+    def line(cells) -> str:
+        return "| " + " | ".join(map(str, cells)) + " |"
+
+    lines = [f"# {title}", "", line(header), "|" + "---|" * len(header), *map(line, rows)]
+    return "\n".join(lines) + "\n"
+
+
 # -- table rendering -----------------------------------------------------------
 
 
 def _table_md(report: TableReport) -> str:
-    headers = TABLE_HEADERS[report.table_id]
-    lines = [
-        f"# {report.table_id} reproduction ({report.digits} significant digits)",
-        "",
-        "| " + " | ".join(headers) + " | status |",
-        "|" + "---|" * (len(headers) + 1),
-    ]
+    rows = []
     for row in report.rows:
-        shown = []
-        bad = []
+        shown, bad = [], []
         for cell in row.cells:
             text = cell.rendered
             if cell.status == "mismatch":
@@ -195,16 +202,13 @@ def _table_md(report: TableReport) -> str:
             elif cell.status == "undecided":
                 bad.append(f"UNDECIDED:{cell.column}")
             shown.append(text)
-        lines.append(
-            "| " + " | ".join([row.label, *shown, " ".join(bad) or "ok"]) + " |"
-        )
+        rows.append([row.label, *shown, " ".join(bad) or "ok"])
     c = report.counts()
-    lines += [
-        "",
-        f"cells: {c['match']} match, {c['mismatch']} mismatch, {c['undecided']} undecided",
-        "",
-    ]
-    return "\n".join(lines)
+    title = f"{report.table_id} reproduction ({report.digits} significant digits)"
+    return (
+        _md_table(title, [*TABLE_HEADERS[report.table_id], "status"], rows)
+        + f"\ncells: {c['match']} match, {c['mismatch']} mismatch, {c['undecided']} undecided\n"
+    )
 
 
 _TABLE_CSV_HEADER = ("table", "n", "column", "rendered", "expected", "status")
@@ -234,26 +238,8 @@ def _cmd_table(args) -> int:
 # -- verify rendering ------------------------------------------------------------
 
 
-def _verify_md(rows: list[dict], cols: list[str]) -> str:
-    lines = [
-        "# certified sweep verification",
-        "",
-        "| " + " | ".join(cols) + " |",
-        "|" + "---|" * len(cols),
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(row[c]) for c in cols) + " |")
-    for row in rows:
-        for f in row["failures"]:
-            lines.append(f"- {row['check']} {f}")
-    lines.append("")
-    return "\n".join(lines)
-
-
 def _cmd_verify(args) -> int:
     orders = tuple(args.order) if args.order else DEFAULT_ORDERS
-    for j in orders:  # before any sweep runs
-        bd.check_series_order(j)
     reports = run_verify(args.max_n, orders, _policy(args), jobs=args.jobs)
     rows = []
     for rep in reports:
@@ -274,8 +260,10 @@ def _cmd_verify(args) -> int:
     if not args.no_timing:
         cols.append("wall_time_s")
     doc = {"max_n": args.max_n, "checks": rows}
-    table = ([row[c] for c in cols] for row in rows)
-    _emit(args, doc, cols, table, lambda: _verify_md(rows, cols))
+    table = [[row[c] for c in cols] for row in rows]
+    failures = "".join(f"- {row['check']} {f}\n" for row in rows for f in row["failures"])
+    title = "certified sweep verification"
+    _emit(args, doc, cols, table, lambda: _md_table(title, cols, table) + failures)
     return _exit_code(
         any(rep.failed for rep in reports), any(rep.undecided for rep in reports)
     )
@@ -375,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except NeedsMorePrecision as exc:
         print(f"binomcert: undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except ValueError as exc:
+    except DomainError as exc:
         print(f"binomcert: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math as _math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +41,7 @@ __all__ = [
     "PrecisionPolicy",
     "TriState",
     "NeedsMorePrecision",
+    "DomainError",
     "from_rational",
     "from_int",
     "sqrt",
@@ -125,6 +127,11 @@ class NeedsMorePrecision(Exception):
     """The interval is too wide to pin the requested decimal digits."""
 
 
+class DomainError(ValueError):
+    """An argument outside what a function accepts, from a check that
+    command-line input can reach; the command line exits 64 on it."""
+
+
 @dataclass(frozen=True)
 class IntervalReal:
     """Certified enclosure [lo, hi] of a real number.
@@ -152,9 +159,6 @@ class IntervalReal:
             raise ValueError("IntervalReal: precision must be >= 2")
 
     # -- inspection ---------------------------------------------------------
-
-    def width(self) -> Dyadic:
-        return Dyadic(*_norm(*_sub(self.hi, self.lo)))
 
     def __repr__(self) -> str:
         lo, hi = _dyadic_ratio(self.lo, _ONE), _dyadic_ratio(self.hi, _ONE)
@@ -468,9 +472,9 @@ class PrecisionPolicy:
 
     def __post_init__(self) -> None:
         if self.initial < 2 or self.initial > self.maximum:
-            raise ValueError("PrecisionPolicy: need 2 <= initial <= maximum")
+            raise DomainError("PrecisionPolicy: need 2 <= initial <= maximum")
         if self.maximum > MAX_PRECISION:
-            raise ValueError(
+            raise DomainError(
                 f"PrecisionPolicy: maximum must be <= {MAX_PRECISION} bits (MAX_PRECISION)"
             )
 
@@ -491,7 +495,8 @@ DEFAULT_POLICY = PrecisionPolicy()
 
 MAX_DIGITS = 4300  # Python's default int-to-str digit limit (sys.int_info)
 MAX_DECIMAL_EXPONENT = 10**6  # |e| cap: a plain rendering stays under ~10**6 characters
-_LOG10_2 = _math.log10(2)
+# the float log10(2) as an exact ratio: an int product overflows at no size
+_LOG10_2_NUM, _LOG10_2_DEN = _math.log10(2).as_integer_ratio()
 
 
 @lru_cache(maxsize=4)  # an interval's two endpoints nearly always share k
@@ -503,9 +508,9 @@ def _round_scaled(num: int, shift: int, den: int, digits: int) -> str:
     """Round num * 2**shift / den (den > 0) half to even to ``digits``
     significant digits, in plain integers; see :func:`round_significant`."""
     if digits < 1:
-        raise ValueError("round_significant: digits must be >= 1")
+        raise DomainError("round_significant: digits must be >= 1")
     if digits > MAX_DIGITS:
-        raise ValueError(
+        raise DomainError(
             f"round_significant: digits must be <= {MAX_DIGITS}, "
             "Python's int-to-str conversion limit"
         )
@@ -515,7 +520,7 @@ def _round_scaled(num: int, shift: int, den: int, digits: int) -> str:
         return "-" + _round_scaled(-num, shift, den, digits)
     # log2 of the value is within one of this bit count, so e is within one of
     # the decimal exponent of its leading digit
-    e = _math.floor((num.bit_length() - den.bit_length() + shift) * _LOG10_2)
+    e = (num.bit_length() - den.bit_length() + shift) * _LOG10_2_NUM // _LOG10_2_DEN
     if e - 1 > MAX_DECIMAL_EXPONENT or e + 2 < -MAX_DECIMAL_EXPONENT:
         _refuse_exponent(e)  # before any power is built
     # value / 10**k = num * 2**(shift - k) / (den * 5**k), with k the ulp's exponent
@@ -554,9 +559,14 @@ def _round_scaled(num: int, shift: int, den: int, digits: int) -> str:
     return "0." + "0" * (-e - 1) + s
 
 
+def _about(x: int) -> str:
+    """x in a message: in full below 10**15, else to 4 digits at any size."""
+    return str(x) if abs(x) < 10**15 else f"{Decimal(x):.4g}"
+
+
 def _refuse_exponent(e: int) -> None:
-    raise ValueError(
-        f"round_significant: decimal exponent about {e} is outside "
+    raise DomainError(
+        f"round_significant: decimal exponent about {_about(e)} is outside "
         f"-{MAX_DECIMAL_EXPONENT}..{MAX_DECIMAL_EXPONENT} (MAX_DECIMAL_EXPONENT)"
     )
 
@@ -582,8 +592,8 @@ def round_significant(x: Fraction, digits: int) -> str:
     limit are fine, but ``digits`` itself may not exceed that limit,
     :data:`MAX_DIGITS`.  A value whose ``|e|`` exceeds
     :data:`MAX_DECIMAL_EXPONENT` would print as a string of over a million
-    characters and is refused with ``ValueError``, judged from the estimate
-    before any power is built.
+    characters and is refused with :class:`DomainError`, judged from the
+    estimate before any power is built.
     """
     return _round_scaled(x.numerator, 0, x.denominator, digits)
 
@@ -602,9 +612,9 @@ def render_significant(iv: IntervalReal, digits: int) -> str:
 
     Each endpoint man * 2**exp is rounded from its mantissa and exponent as
     they stand, by the integer route of :func:`round_significant`, with no
-    ``Fraction`` of the whole magnitude.  ``ValueError`` refuses digit counts
-    outside 1..:data:`MAX_DIGITS` and endpoints whose decimal exponent is
-    beyond :data:`MAX_DECIMAL_EXPONENT`.
+    ``Fraction`` of the whole magnitude.  :class:`DomainError` refuses digit
+    counts outside 1..:data:`MAX_DIGITS` and endpoints whose decimal
+    exponent is beyond :data:`MAX_DECIMAL_EXPONENT`.
     """
     if iv.lo.man == 0 and iv.hi.man == 0:
         return "0"

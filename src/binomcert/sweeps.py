@@ -32,7 +32,7 @@ from itertools import pairwise
 from . import bounds as bd
 from . import interval as ivl
 from .combinatorics import binomial, central_binomials
-from .interval import DEFAULT_POLICY, PrecisionPolicy, TriState, certainly_less
+from .interval import DEFAULT_POLICY, DomainError, PrecisionPolicy, TriState, certainly_less
 
 __all__ = [
     "SweepReport",
@@ -42,7 +42,6 @@ __all__ = [
     "order_improvement_sweep",
     "general_r_sweep",
     "run_verify",
-    "VERIFY_CHECKS",
     "DEFAULT_ORDERS",
 ]
 
@@ -93,7 +92,10 @@ def _exact(holds: bool) -> tuple[str, float]:
 
 def _report(check: str, n_lo: int, n_hi: int, decisions) -> SweepReport:
     """Time and record a stream of ``(n, (verdict, width), tag)`` decisions;
-    the tag is kept as the failure detail of a verdict other than ``proved``."""
+    the tag is kept as the failure detail of a verdict other than ``proved``.
+    Every claim here is stated for n >= 1: n_lo < 1 is refused first."""
+    if n_lo < 1:
+        raise DomainError(f"{check}: n_lo must be >= 1")
     t0 = time.perf_counter()
     rep = SweepReport(check, n_lo, n_hi)
     for n, (verdict, width), tag in decisions:
@@ -225,8 +227,6 @@ def general_r_sweep(
 
 # -- orchestration -------------------------------------------------------------
 
-VERIFY_CHECKS = ("sandwich", "dominance", "alternation", "order_improvement")
-
 
 def _run_task(task) -> SweepReport:
     sweep, n_lo, n_hi, kwargs = task
@@ -239,16 +239,21 @@ def run_verify(
     policy: PrecisionPolicy = DEFAULT_POLICY,
     jobs: int = 1,
 ) -> list[SweepReport]:
-    """Run the :data:`VERIFY_CHECKS` over 1..max_n (order_improvement from 2).
+    """Run the sandwich, dominance, alternation and order_improvement checks
+    over 1..max_n (order_improvement from 2), reported in that order.
 
-    Each check is one task over its whole range.  The tasks run through one
-    process pool of ``min(jobs, tasks, os.cpu_count())`` workers when that
-    is at least 2, and in this process otherwise.  Either way a check runs
-    whole in one process: its report is a sequential run's, and its
-    ``wall_time`` is its own.
+    A series order outside 1..MAX_SERIES_ORDER and ``max_n < 1`` are refused
+    with :class:`DomainError` before any task starts.  Each check is one
+    task over its whole range.  The tasks run through one process pool of
+    ``min(jobs, tasks, os.cpu_count())`` workers when that is at least 2,
+    and in this process otherwise.  Either way a check runs whole in one
+    process: its report is a sequential run's, and its ``wall_time`` is its
+    own.
     """
+    for order in orders:
+        bd.check_series_order(order)
     if max_n < 1:
-        raise ValueError("run_verify: max_n must be >= 1")
+        raise DomainError("run_verify: max_n must be >= 1")
     checks = [
         (sandwich_sweep, 1, {"policy": policy}),
         (dominance_sweep, 1, {"policy": policy}),

@@ -123,10 +123,11 @@ class TableReport:
 
 
 def _cell_makers(table_id: str, n: int):
-    """Per-column interval builders (None marks an exact-integer column)."""
+    """Per column, the exact integer of an exact column, else the builder of
+    the cell's interval at precision p."""
     if table_id == "table1":
         return (
-            None,
+            central_binomial(n),
             lambda p: bd.agievich_central(n, p).value,
             lambda p: bd.central_upper(n, 2, p).value,
         )
@@ -138,17 +139,11 @@ def _cell_makers(table_id: str, n: int):
             lambda p: ivl.exp(ivl.from_rational(d2, p)),
             lambda p: ivl.exp(ivl.from_rational(d4, p)),
         )
-    if table_id == "table3":
-        return (
-            None,
-            lambda p: bd.catalan_upper(n, 2, p).value,
-            lambda p: bd.catalan_upper(n, 4, p).value,
-        )
-    raise ValueError(f"unknown table id {table_id!r}")
-
-
-def _exact_cell_value(table_id: str, n: int) -> int:
-    return central_binomial(n) if table_id == "table1" else catalan(n)
+    return (  # table3
+        catalan(n),
+        lambda p: bd.catalan_upper(n, 2, p).value,
+        lambda p: bd.catalan_upper(n, 4, p).value,
+    )
 
 
 def build_table(
@@ -172,8 +167,8 @@ def build_table(
         makers = _cell_makers(table_id, n)
         cells = []
         for col, maker, expected in zip(columns, makers, _EXPECTED[table_id][n]):
-            if maker is None:
-                rendered = str(_exact_cell_value(table_id, n))
+            if isinstance(maker, int):
+                rendered = str(maker)
             else:
                 rendered = render_escalating(maker, digits, policy)
             if rendered == UNDETERMINED:

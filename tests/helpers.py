@@ -22,7 +22,7 @@ composed interval route that ``central_ratio``'s Dyadic steps replaced, and
 :func:`reference_scaled_width`, which normalises the widths it compares.
 
 The interval inspections only tests use are plain functions here:
-:func:`as_fraction` of a ``Dyadic``, and :func:`rel_width`,
+:func:`as_fraction` of a ``Dyadic``, and :func:`width`, :func:`rel_width`,
 :func:`contains` and :func:`is_exact` of an ``IntervalReal``.
 """
 
@@ -98,6 +98,11 @@ def is_exact(iv: IntervalReal) -> bool:
     return iv.lo == iv.hi
 
 
+def width(iv: IntervalReal) -> Dyadic:
+    """hi - lo, exactly."""
+    return Dyadic(*_norm(*_sub(iv.hi, iv.lo)))
+
+
 def rel_width(iv: IntervalReal) -> float:
     """Width divided by the smaller endpoint magnitude, as a float.
 
@@ -106,7 +111,7 @@ def rel_width(iv: IntervalReal) -> float:
     """
     a = Dyadic(abs(iv.lo.man), iv.lo.exp)
     b = Dyadic(abs(iv.hi.man), iv.hi.exp)
-    return _dyadic_ratio(iv.width(), a if _cmp(a, b) <= 0 else b)
+    return _dyadic_ratio(width(iv), a if _cmp(a, b) <= 0 else b)
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -405,7 +410,7 @@ def reference_central_ratio(n: int, p: int, binom_value: int | None = None) -> I
 def reference_scaled_width(a: IntervalReal, b: IntervalReal) -> float:
     """``interval.scaled_width`` before it skipped normalising: the wider of
     the two normalised widths over the largest endpoint magnitude."""
-    wa, wb = a.width(), b.width()
+    wa, wb = width(a), width(b)
     w = wa if _cmp(wa, wb) >= 0 else wb
     m = Dyadic(0, 0)
     for d in (a.lo, a.hi, b.lo, b.hi):

@@ -274,6 +274,28 @@ def test_general_rs_refuses_a_huge_growth_factor():
             bd.general_rs_bound(r, s, 1)
 
 
+def test_growth_cap_keeps_every_value_renderable(monkeypatch):
+    # the one size check of GeneralRS: for every r >= 3 with an accepted s,
+    # d_r^(2s) at the largest accepted s has a decimal exponent below the
+    # renderer's cap, so no decimal estimate is needed before the power is
+    # built; raising MAX_GROWTH_BITS past about 5.7 million bits fails here
+    monkeypatch.setattr(bd, "_series_bound", lambda *args: "built")  # check only
+    worst, r = 0.0, 3
+    while True:
+        num, den = math.log2(r).as_integer_ratio()
+        s_max = ((bd.MAX_GROWTH_BITS + 1) * den - 1) // (r * num)  # r s log2(r) <= cap
+        if s_max < 1:
+            break
+        worst = max(worst, s_max * (r * math.log10(r) - (r - 1) * math.log10(r - 1)))
+        if r in (3, 10, 1000, 100_000):
+            assert bd.general_rs_bound(r, s_max, 1) == "built"
+            with pytest.raises(ivl.DomainError, match="MAX_GROWTH_BITS"):
+                bd.general_rs_bound(r, s_max + 1, 1)
+        r += 1
+    assert r > 10**5
+    assert 731_000 < worst < ivl.MAX_DECIMAL_EXPONENT
+
+
 def test_general_exponent_matches_defining_sum():
     # the Binet summand for log C(rs, s) term by term, with Bernoulli numbers
     # from an independent oracle; r = 2 is the central series

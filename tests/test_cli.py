@@ -100,6 +100,11 @@ def _cases() -> dict[str, str]:
             "usage_bound_n1e9.md": "bound 1000000000 SasvariUpper",
             "usage_bound_n1e10.md": "bound 10000000000 SasvariUpper",
             "usage_bound_generalrs_s1e9.md": "bound 1000000000 GeneralRS --r 3",
+            # 10**400 and 10**200 do not fit a float: refused from integer
+            # estimates, not crashed on a float conversion
+            "usage_bound_n1e400.md": f"bound {10**400} SasvariUpper",
+            "usage_bound_generalrs_s1e400.md": f"bound {10**400} GeneralRS --r 3",
+            "usage_bound_shifted_k1e200.md": f"bound 5 AgievichShifted --k {10**200}",
             # refused before r^(rs) of 20 and 233 million bits is built
             "usage_bound_generalrs_r1e6.md": "bound 1 GeneralRS --r 1000000",
             "usage_bound_generalrs_r1e7.md": "bound 1 GeneralRS --r 10000000",
@@ -194,7 +199,9 @@ def test_argparse_errors_are_usage_errors():
         assert _run(argv)[0] == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("error", [RuntimeError("boom"), ZeroDivisionError("boom")])
+@pytest.mark.parametrize(
+    "error", [RuntimeError("boom"), ZeroDivisionError("boom"), ValueError("boom")]
+)
 def test_internal_errors_exit_70(monkeypatch, error):
     def broken(*args):
         raise error

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,7 @@ import pytest
 from binomcert import bounds as bd
 from binomcert import interval
 from binomcert.interval import (
+    DomainError,
     Dyadic,
     IntervalReal,
     MAX_DECIMAL_EXPONENT,
@@ -47,6 +49,7 @@ from helpers import (
     reference_round_significant,
     reference_scaled_width,
     rel_width,
+    width,
 )
 
 
@@ -609,7 +612,7 @@ def test_exp_width_contract():
     @hypothesis.example(IntervalReal(shifted, shifted, 64))
     def check(a):
         iv = exp(a)
-        w = iv.width()
+        w = width(iv)
         assert interval._cmp(Dyadic(w.man, w.exp + a.prec - 2), iv.lo) <= 0, (a, rel_width(iv))
 
     check()
@@ -884,3 +887,35 @@ def test_precision_policy():
     assert list(PrecisionPolicy(MAX_PRECISION, MAX_PRECISION).precisions()) == [MAX_PRECISION]
     with pytest.raises(ValueError, match=str(MAX_PRECISION)):
         PrecisionPolicy(64, MAX_PRECISION + 1)
+
+
+def test_input_checks_raise_domain_errors_and_contract_checks_do_not():
+    # the command line reports a DomainError as a usage error and any other
+    # ValueError as an internal one
+    assert issubclass(DomainError, ValueError)
+    for refused in (
+        lambda: PrecisionPolicy(1, 64),
+        lambda: PrecisionPolicy(64, MAX_PRECISION + 1),
+        lambda: round_significant(Fraction(1, 3), 0),
+        lambda: round_significant(Fraction(1, 3), MAX_DIGITS + 1),
+        lambda: round_significant(Fraction(10) ** (MAX_DECIMAL_EXPONENT + 1), 3),
+    ):
+        with pytest.raises(DomainError):
+            refused()
+    one = from_int(1, 64)
+    for contract in (
+        lambda: IntervalReal(Dyadic(1, 0), Dyadic(-1, 0), 64),
+        lambda: one * from_int(0, 64),
+        lambda: sqrt(from_int(-1, 64)),
+    ):
+        with pytest.raises(ValueError) as info:
+            contract()
+        assert type(info.value) is ValueError
+
+
+def test_render_refuses_exponents_beyond_float_range():
+    # 10**400 bits do not fit a float: the exponent estimate is an int
+    # product, and the message shows it to 4 significant digits
+    for d, about in ((Dyadic(1, 10**400), "3.010e+399"), (Dyadic(1, -(10**400)), "-3.010e+399")):
+        with pytest.raises(DomainError, match=re.escape(f"decimal exponent about {about} is")):
+            render_significant(IntervalReal(d, d, 64), 10)

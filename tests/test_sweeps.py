@@ -5,7 +5,7 @@ import pytest
 
 from binomcert import bounds, combinatorics, sweeps
 from binomcert.combinatorics import central_binomial
-from binomcert.interval import DEFAULT_POLICY, PrecisionPolicy
+from binomcert.interval import DEFAULT_POLICY, DomainError, PrecisionPolicy
 from binomcert.sweeps import (
     alternation_sweep,
     dominance_sweep,
@@ -90,6 +90,32 @@ def test_run_verify_rejects_bad_range():
         run_verify(0)
 
 
+def test_sweeps_refuse_n_below_one():
+    # each claim holds for n >= 1 only: refused before any decision, not
+    # recorded as a failed verdict at n = 0 or left to a deeper check
+    for check, sweep in (
+        ("dominance", lambda: dominance_sweep(0, 3)),
+        ("sandwich", lambda: sandwich_sweep(0, 3)),
+        ("alternation", lambda: alternation_sweep(-2, 3)),
+    ):
+        with pytest.raises(DomainError, match=f"^{check}: n_lo must be >= 1$"):
+            sweep()
+    assert order_improvement_sweep(0, 3).n_lo == 2  # clamped, not refused
+
+
+def test_run_verify_refuses_before_any_sweep(monkeypatch):
+    # a bad order was refused by alternation_sweep, after sandwich and dominance ran
+    ran = []
+    for name in ("sandwich_sweep", "dominance_sweep", "alternation_sweep", "order_improvement_sweep"):
+        monkeypatch.setattr(sweeps, name, lambda *args, name=name, **kwargs: ran.append(name))
+    for orders in ((25,), (1, 0)):
+        with pytest.raises(DomainError, match="series order"):
+            run_verify(5, orders=orders)
+    with pytest.raises(DomainError, match="max_n"):
+        run_verify(0)
+    assert ran == []
+
+
 def _strip_timing(rep):
     d = dataclasses.asdict(rep)
     d.pop("wall_time")
@@ -112,7 +138,7 @@ def test_sandwich_is_alternation_at_orders_1_and_2(policy):
 def test_chunked_equals_sequential(policy):
     seq = [_strip_timing(r) for r in run_verify(120, policy=policy, jobs=1)]
     par = [_strip_timing(r) for r in run_verify(120, policy=policy, jobs=3)]
-    assert [r["check"] for r in seq] == list(sweeps.VERIFY_CHECKS)
+    assert [r["check"] for r in seq] == ["sandwich", "dominance", "alternation", "order_improvement"]
     assert par == seq
 
 
