@@ -80,12 +80,24 @@ def _norm(man: int, exp: int) -> tuple[int, int]:
 
 
 def _cmp(a: Dyadic, b: Dyadic) -> int:
-    """Exact three-way comparison of dyadic values."""
-    if a.man == 0 or b.man == 0 or (a.man > 0) != (b.man > 0):
-        d = (a.man > 0) - (a.man < 0) - ((b.man > 0) - (b.man < 0))
+    """Exact three-way comparison of dyadic values.
+
+    Magnitudes of one sign are ordered by their leading-bit positions
+    ``bit_length() + exp`` first; only a tie shifts a mantissa, by at most
+    the longer one's length, so no integer as wide as the exponent gap is
+    ever built."""
+    am, bm = a.man, b.man
+    if am == 0 or bm == 0 or (am > 0) != (bm > 0):
+        d = (am > 0) - (am < 0) - ((bm > 0) - (bm < 0))
         return (d > 0) - (d < 0)
     shift = a.exp - b.exp
-    am, bm = (a.man << shift, b.man) if shift >= 0 else (a.man, b.man << -shift)
+    lead = am.bit_length() - bm.bit_length() + shift
+    if lead:
+        return (1 if lead > 0 else -1) if am > 0 else (-1 if lead > 0 else 1)
+    if shift >= 0:
+        am <<= shift
+    else:
+        bm <<= -shift
     return (am > bm) - (am < bm)
 
 
@@ -227,12 +239,29 @@ def _dyadic_ratio(num: Dyadic, den: Dyadic) -> float:
         return float("inf") if num.man > 0 else float("-inf")
 
 
+def _width(iv: IntervalReal) -> Dyadic:
+    """hi - lo, to the 53 leading bits that :func:`_dyadic_ratio` reads.
+
+    When hi > 0 and lo != 0 lies below both 2**-64 hi and hi's last bit,
+    lo is replaced by +-2**(t - 1), t the lower of those two positions: the
+    difference then keeps its leading-bit position and its floor at every
+    bit down to 2**t, so the float figure is the same, and no integer as
+    wide as the exponent gap between hi and lo is built.  Exponents at most
+    64 apart cost a short shift and skip the test."""
+    lo, hi = iv.lo, iv.hi
+    if hi.exp - lo.exp > 64 and hi.man > 0 and lo.man:
+        t = min(hi.exp, hi.man.bit_length() + hi.exp - 64)
+        if lo.man.bit_length() + lo.exp <= t:
+            lo = Dyadic(1 if lo.man > 0 else -1, t - 1)
+    return Dyadic(*_sub(hi, lo))
+
+
 def scaled_width(a: IntervalReal, b: IntervalReal) -> float:
     """Precision figure for a comparison of two enclosures: the wider of the
     two widths divided by the largest endpoint magnitude.  Unlike a relative
     width this stays finite when one operand brackets zero.  The largest
     magnitude on [lo, hi] is the larger of hi and -lo."""
-    wa, wb = Dyadic(*_sub(a.hi, a.lo)), Dyadic(*_sub(b.hi, b.lo))
+    wa, wb = _width(a), _width(b)
     m = a.hi
     for d in (Dyadic(-a.lo.man, a.lo.exp), b.hi, Dyadic(-b.lo.man, b.lo.exp)):
         if _cmp(d, m) > 0:

@@ -6,13 +6,27 @@ verdict per instance: ``proved`` when the inequality holds with certainty,
 was exhausted with the intervals still overlapping.  Verdicts are never
 guessed from midpoints.
 
-Each sweep is a stream of ``(n, (verdict, width), tag)`` decisions that one
-loop turns into a :class:`SweepReport`.  A comparison whose transcendental
-parts cancel is an integer sign test, reported with width 0.  The
-alternation, sandwich and order-2 gap decisions compare exp(D_J(n)), from
-its integer pair, with R(n) = C(2n,n) sqrt(pi n)/4^n, the bounds scaled by
-sqrt(pi n)/4^n: R is built once per n and precision, and gap2(n+1) is
-carried to the next n.
+Each sweep is a stream of ``(n, (verdict, width, precision), tag)``
+decisions that one loop turns into a :class:`SweepReport`.  A comparison
+whose transcendental parts cancel is an integer sign test, reported with
+width 0 at precision 0.  The alternation, sandwich and order-2 gap decisions
+compare exp(D_J(n)), from its integer pair, with R(n) = C(2n,n)
+sqrt(pi n)/4^n, the bounds scaled by sqrt(pi n)/4^n: R is built once per n
+and precision, and gap2(n+1) is carried to the next n.
+
+The alternation's truncations nest (Z. Sasvari, "Inequalities for binomial
+coefficients", J. Math. Anal. Appl. 236, 1999): where the series envelops
+log R(n), D_J < D_(J+2) < log R(n) for odd J and the reverse for even J.
+So only the highest odd and the highest even order asked for get interval
+decisions.  A lower order J takes its top order's ``proved`` verdict when an
+exact link holds, D_J < D_top for odd J and D_top < D_J for even J, tested
+by cross-multiplying the integer pairs: exp is monotone, so exp(D_J) <
+exp(D_top) < R(n), or R(n) < exp(D_top) < exp(D_J).  Otherwise, as at small
+n where a high-order series does not yet envelop, the order is decided
+directly, from the policy's first precision.  Each top decision starts at
+the precision that decided it at the previous n (warm start), and at the
+policy's first precision at the first n and after any verdict other than
+``proved``.
 
 :func:`run_verify` may run its checks in separate processes, one task per
 check over its whole range, so each report is a sequential run's.  The
@@ -57,6 +71,8 @@ class SweepReport:
     proved: int = 0
     failed: int = 0
     undecided: int = 0
+    # the widest pair, by ivl.scaled_width, among the check's interval
+    # decisions; a verdict chained from a top order carries the top's width
     worst_rel_width: float = 0.0
     wall_time: float = 0.0  # seconds of this check, in the process that ran it
     failures: list = field(default_factory=list)  # (n, detail) pairs, capped
@@ -73,32 +89,38 @@ class SweepReport:
             self.failures.append((n, detail))
 
 
-def _decide_less(make_pair, policy: PrecisionPolicy) -> tuple[str, float]:
-    """Escalate precision until a < b is decided; report the final pair width."""
+def _decide_less(make_pair, policy: PrecisionPolicy, start: int = 0) -> tuple[str, float, int]:
+    """Escalate precision until a < b is decided, skipping the precisions of
+    ``policy`` below ``start`` (never its last one); report the verdict, the
+    final pair's width and the precision it stopped at."""
     for p in policy.precisions():
+        if p < start and p < policy.maximum:
+            continue
         a, b = make_pair(p)
         v = certainly_less(a, b)
         if v is TriState.YES:
-            return "proved", ivl.scaled_width(a, b)
+            return "proved", ivl.scaled_width(a, b), p
         if v is TriState.NO:
-            return "failed", ivl.scaled_width(a, b)
-    return "undecided", ivl.scaled_width(a, b)
+            return "failed", ivl.scaled_width(a, b), p
+    return "undecided", ivl.scaled_width(a, b), p
 
 
-def _exact(holds: bool) -> tuple[str, float]:
-    """The verdict of a comparison decided exactly: no interval width."""
-    return ("proved" if holds else "failed"), 0.0
+def _exact(holds: bool) -> tuple[str, float, int]:
+    """The verdict of a comparison decided exactly: no interval width, and
+    precision 0."""
+    return ("proved" if holds else "failed"), 0.0, 0
 
 
 def _report(check: str, n_lo: int, n_hi: int, decisions) -> SweepReport:
-    """Time and record a stream of ``(n, (verdict, width), tag)`` decisions;
-    the tag is kept as the failure detail of a verdict other than ``proved``.
-    Every claim here is stated for n >= 1: n_lo < 1 is refused first."""
+    """Time and record a stream of ``(n, (verdict, width, precision), tag)``
+    decisions; the tag is kept as the failure detail of a verdict other than
+    ``proved``.  Every claim here is stated for n >= 1: n_lo < 1 is refused
+    first."""
     if n_lo < 1:
         raise DomainError(f"{check}: n_lo must be >= 1")
     t0 = time.perf_counter()
     rep = SweepReport(check, n_lo, n_hi)
-    for n, (verdict, width), tag in decisions:
+    for n, (verdict, width, _precision), tag in decisions:
         rep.record(n, verdict, width, tag)
     rep.wall_time = time.perf_counter() - t0
     return rep
@@ -110,7 +132,10 @@ def sandwich_sweep(
     """order-1 lower bound < C(2n,n) < order-2 upper bound, for each n.
 
     These are the alternation check's decisions at orders 1 and 2, so the
-    report equals ``alternation_sweep(n_lo, n_hi, (1, 2))`` under its own name.
+    report equals ``alternation_sweep(n_lo, n_hi, (1, 2))`` under its own name:
+    orders 1 and 2 are each the top order of their parity, so each gets an
+    interval decision at every n, warm-started at the precision that decided
+    it at n - 1.
     """
     return _report("sandwich", n_lo, n_hi, _alternation(n_lo, n_hi, (1, 2), policy))
 
@@ -149,23 +174,54 @@ def alternation_sweep(
     """Odd-order truncations below the exact value, even-order above.
 
     Decided as exp(D_J(n)) < R(n) at odd J and R(n) < exp(D_J(n)) at even J,
-    with R(n) built once per n and precision for all the orders.
+    with R(n) built once per n and precision for all the orders.  Only the
+    highest odd and the highest even of ``orders`` get interval decisions at
+    each n, each warm-started at the precision that decided it at n - 1.  A
+    lower order J is proved from its top order's proved verdict when the
+    exact link D_J < D_top (odd J) or D_top < D_J (even J) holds, and is
+    decided directly from ``policy.initial`` otherwise; see the module
+    docstring.  The verdicts, failures and their order are those of deciding
+    every order directly.
     """
     return _report("alternation", n_lo, n_hi, _alternation(n_lo, n_hi, orders, policy))
 
 
 def _alternation(n_lo: int, n_hi: int, orders: tuple[int, ...], policy: PrecisionPolicy):
     orders = sorted(set(orders))
+    top = {order % 2: order for order in orders}  # the highest order of each parity
+    start = dict.fromkeys(top.values(), policy.initial)  # warm start of each top order
+    tags = {j: f"lower({j}) !< exact" if j % 2 else f"exact !< upper({j})" for j in orders}
     for n, b in central_binomials(n_lo, n_hi):
         ratio = cache(lambda p, n=n, b=b: bd.central_ratio(n, p, b))  # R(n) per precision
+        exponents, decided = {}, {}
+        for t in top.values():
+            exponents[t] = bd.exponent_pair(n, 2, t)
+            decided[t] = _decide_order(t, exponents[t], ratio, policy, start[t])
+            verdict, _width, p = decided[t]
+            start[t] = p if verdict == "proved" else policy.initial
         for order in orders:
-            exponent = bd.exponent_pair(n, 2, order)
-            if order % 2 == 1:
-                pair = lambda p: (ivl.exp(ivl.from_rational(exponent, p)), ratio(p))
-                yield n, _decide_less(pair, policy), f"lower({order}) !< exact"
-            else:
-                pair = lambda p: (ratio(p), ivl.exp(ivl.from_rational(exponent, p)))
-                yield n, _decide_less(pair, policy), f"exact !< upper({order})"
+            t = top[order % 2]
+            decision = decided[t]
+            if order != t:
+                num, den = exponent = bd.exponent_pair(n, 2, order)
+                t_num, t_den = exponents[t]
+                # D_J < D_top at odd J, D_top < D_J at even J
+                linked = num * t_den < t_num * den if order % 2 else t_num * den < num * t_den
+                if decision[0] != "proved" or not linked:
+                    decision = _decide_order(order, exponent, ratio, policy, policy.initial)
+            yield n, decision, tags[order]
+
+
+def _decide_order(
+    order: int, exponent: tuple[int, int], ratio, policy: PrecisionPolicy, start: int
+) -> tuple[str, float, int]:
+    """exp(D_J(n)) < R(n) at odd J, R(n) < exp(D_J(n)) at even J, from the
+    integer pair of D_J(n) and ``ratio(p)``, R(n) at precision p."""
+    if order % 2 == 1:
+        pair = lambda p: (ivl.exp(ivl.from_rational(exponent, p)), ratio(p))
+    else:
+        pair = lambda p: (ratio(p), ivl.exp(ivl.from_rational(exponent, p)))
+    return _decide_less(pair, policy, start)
 
 
 def _ratio_gap(n: int, order: int, b: int, p: int) -> ivl.IntervalReal:

@@ -16,7 +16,9 @@ interval arithmetic on the reference product and quotient and on
 :func:`_add`, :func:`reference_round_significant`,
 which rounds to significant digits with exact ``Fraction``s,
 :func:`reference_alternation`, which decides the alternation check on whole
-bounds, :func:`reference_general_exponent`, the ``Fraction`` sum that the
+bounds, :func:`direct_alternation`, which decides every order of it at every
+n on its own, from the policy's first precision,
+:func:`reference_general_exponent`, the ``Fraction`` sum that the
 integer exponent pair replaced, :func:`reference_central_ratio`, the
 composed interval route that ``central_ratio``'s Dyadic steps replaced, and
 :func:`reference_scaled_width`, which normalises the widths it compares.
@@ -28,11 +30,12 @@ The interval inspections only tests use are plain functions here:
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import mpmath
 
 from binomcert import bounds
+from binomcert import interval as ivl
 from binomcert.combinatorics import bernoulli, central_binomial, central_binomials
 from binomcert.interval import (
     Dyadic,
@@ -377,6 +380,24 @@ def reference_alternation(n_lo, n_hi, orders, policy):
                 yield n, _decide_less(pair, policy), f"lower({order}) !< exact"
             else:
                 pair = lambda p: (from_int(b, p), bounds.central_upper(n, order, p).value)
+                yield n, _decide_less(pair, policy), f"exact !< upper({order})"
+
+
+def direct_alternation(n_lo, n_hi, orders, policy):
+    """``sweeps._alternation`` before it decided only the top odd and even
+    orders: every order gets its own exp(D_J(n)) against R(n) interval
+    decision at every n, each escalating from ``policy.initial``.  Yields the
+    same ``(n, (verdict, width, precision), tag)`` decisions."""
+    orders = sorted(set(orders))
+    for n, b in central_binomials(n_lo, n_hi):
+        ratio = cache(lambda p, n=n, b=b: bounds.central_ratio(n, p, b))  # R(n) per precision
+        for order in orders:
+            exponent = bounds.exponent_pair(n, 2, order)
+            if order % 2 == 1:
+                pair = lambda p: (ivl.exp(ivl.from_rational(exponent, p)), ratio(p))
+                yield n, _decide_less(pair, policy), f"lower({order}) !< exact"
+            else:
+                pair = lambda p: (ratio(p), ivl.exp(ivl.from_rational(exponent, p)))
                 yield n, _decide_less(pair, policy), f"exact !< upper({order})"
 
 

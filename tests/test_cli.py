@@ -25,6 +25,7 @@ from binomcert.sweeps import DEFAULT_ORDERS
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
 STARVED = "--precision-init 4 --precision-max 4"
+ORDERS_17_20 = "--order 17 --order 18 --order 19 --order 20"
 
 BOUNDS = {
     "AgievichGeneral": "10 AgievichGeneral --k 2",
@@ -67,6 +68,12 @@ def _cases() -> dict[str, str]:
             "table3_starved_lenient.md": f"table table3 {STARVED}",
             "verify_starved.md": f"verify --max-n 3 {STARVED} --no-timing",
             "verify_starved_jobs2.md": f"verify --max-n 3 {STARVED} --no-timing --jobs 2",
+            # exp(D_19(1)) is about 2**(-9.7e11): compared and measured
+            # without an integer as wide as that exponent
+            "verify_orders_17_20.md": f"verify --max-n 3 {ORDERS_17_20} --no-timing",
+            "verify_orders_17_20_starved.md": (
+                f"verify --max-n 3 {ORDERS_17_20} {STARVED} --no-timing"
+            ),
             "verify_jobs0.md": "verify --max-n 40 --jobs 0 --no-timing",
             "verify_jobs2.md": "verify --max-n 40 --jobs 2 --no-timing",
             # evidence that cannot be proved is refused, not printed as "?"

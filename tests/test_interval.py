@@ -330,10 +330,32 @@ def test_scaled_width_is_the_normalising_route():
     @hypothesis.given(enclosure(), enclosure())
     @hypothesis.example(from_int(0, 64), from_int(0, 64))
     @hypothesis.example(from_int(5, 64), from_int(-5, 64))
+    # lo far below hi, which scaled_width replaces by a proxy: a borrow out of
+    # a power of two, a carry into all ones, and a hi with bits below 2**-64 hi
+    @hypothesis.example(IntervalReal(Dyadic(1, -100), Dyadic(1, 0), 64), from_int(1, 64))
+    @hypothesis.example(IntervalReal(Dyadic(-3, -200), Dyadic(2**60 - 1, 0), 64), from_int(1, 64))
+    @hypothesis.example(IntervalReal(Dyadic(1, -80), Dyadic(2**80 + 1, -10), 64), from_int(3, 64))
     def check(a, b):
         assert scaled_width(a, b) == reference_scaled_width(a, b)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (Dyadic(3, -7), Dyadic(5, 10**12)),
+        (Dyadic(3, -(10**12)), Dyadic(5, 0)),
+        (Dyadic(3, -2 * 10**12), Dyadic(5, -(10**12))),
+    ],
+)
+def test_scaled_width_of_endpoints_an_exponent_gap_apart(lo, hi):
+    # exp(D_20(1)) at 4 bits spans such a gap; hi - lo in full would be an
+    # integer of 10^12 bits.  The 53 leading bits of 5 * 2**e - lo, over
+    # 5 * 2**e, are those of the exact difference
+    far = IntervalReal(lo, hi, 4)
+    assert scaled_width(far, far) == 1 - 2**-52
+    assert scaled_width(far, from_int(1, 4)) == (0.0 if hi.exp < 0 else 1 - 2**-52)
 
 
 def test_composed_containment_100k_points():
@@ -386,6 +408,36 @@ def test_sqrt_square_encloses_input():
         s = sqrt(x)
         sq = s * s
         assert frac(sq.lo) <= frac(x.lo) <= frac(sq.hi)
+
+
+def test_sqrt_rounds_a_radicand_one_above_a_square_up():
+    # the up endpoint takes the ceiling of d / 2**42 = 768**2 + 1/2**42: a
+    # floor there would give 768 * 2**21, whose square is below d
+    d = (3 * 2**9) ** 2 * 2**40 + 1
+    r = interval._sqrt(interval.dyadic(d), 8, True)
+    assert r == Dyadic(769, 21)
+    assert frac(r) ** 2 >= d
+
+
+def test_sqrt_endpoints_bracket_radicands_just_above_squares():
+    # (square) * 2**k + 1: the dropped low bits are a lone 1, which only the
+    # ceiling of the radicand keeps, and the isqrt of the rest is exact
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def radicand(draw):
+        root, k = draw(st.integers(1, 2**80)), draw(st.integers(0, 200))
+        return interval.dyadic(root * root * 2**k + 1, draw(st.integers(-64, 64)))
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(radicand(), st.sampled_from((8, 16, 32, 64)))
+    @hypothesis.example(interval.dyadic((3 * 2**9) ** 2 * 2**40 + 1), 8)
+    def check(d, p):
+        lo, hi = interval._sqrt(d, p, False), interval._sqrt(d, p, True)
+        assert frac(lo) ** 2 <= frac(d) <= frac(hi) ** 2
+
+    check()
 
 
 # -- exp --------------------------------------------------------------------------
@@ -655,6 +707,40 @@ def test_certainly_less_tristate():
     assert certainly_less(mk(1, 2), mk(3, 4)) is TriState.YES
     assert certainly_less(mk(1, 3), mk(2, 4)) is TriState.UNKNOWN
     assert certainly_less(mk(5, 6), mk(1, 2)) is TriState.NO
+
+
+def test_cmp_agrees_with_fractions():
+    # mantissas of either sign, zero and unnormalised ones (even, or with
+    # tied leading-bit positions at different exponents) included
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dyadics = st.builds(Dyadic, st.integers(-(2**130), 2**130), st.integers(-300, 300))
+
+    @hypothesis.settings(max_examples=1500, deadline=None)
+    @hypothesis.given(dyadics, dyadics)
+    @hypothesis.example(Dyadic(4, 0), Dyadic(1, 2))
+    @hypothesis.example(Dyadic(-3, 1), Dyadic(-5, 0))
+    def check(a, b):
+        fa, fb = frac(a), frac(b)
+        assert interval._cmp(a, b) == (fa > fb) - (fa < fb)
+
+    check()
+
+
+@pytest.mark.parametrize("gap", [10**12, -(10**12)])
+def test_cmp_orders_exponent_gaps_without_shifting(gap):
+    # a shift by the gap would build an integer of 10^12 bits; the
+    # leading-bit positions order these, in both signs
+    big, small = (Dyadic(3, gap), Dyadic(5, 0)) if gap > 0 else (Dyadic(5, 0), Dyadic(3, gap))
+    neg = lambda d: Dyadic(-d.man, d.exp)
+    assert interval._cmp(big, small) == 1 and interval._cmp(small, big) == -1
+    assert interval._cmp(neg(big), neg(small)) == -1 and interval._cmp(neg(small), neg(big)) == 1
+    assert interval._cmp(big, big) == 0 and interval._cmp(neg(small), neg(small)) == 0
+    # tied leading-bit positions across the gap: 2**gap against (2**k - 1) * 2**(gap - k + 1)
+    k = 2000
+    tied = Dyadic(2**k - 1, gap - k + 1)
+    assert interval._cmp(Dyadic(1, gap), tied) == -1 and interval._cmp(tied, Dyadic(1, gap)) == 1
+    assert certainly_less(IntervalReal(small, small, 4), IntervalReal(big, big, 4)) is TriState.YES
 
 
 # -- rendering --------------------------------------------------------------------

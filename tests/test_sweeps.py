@@ -14,7 +14,7 @@ from binomcert.sweeps import (
     run_verify,
     sandwich_sweep,
 )
-from helpers import reference_alternation
+from helpers import direct_alternation, reference_alternation
 
 TINY = PrecisionPolicy(4, 4)
 
@@ -235,7 +235,7 @@ def test_order_gap_rational_verdict_matches_interval_route():
     # subtracts that term from both sides, must reach the same verdict.
     for n in range(2, 301):
         b = central_binomial(n)
-        interval_verdict, _ = sweeps._decide_less(
+        interval_verdict, _width, _precision = sweeps._decide_less(
             lambda p: (sweeps._ratio_gap(n, 4, b, p), sweeps._ratio_gap(n, 2, b, p)),
             DEFAULT_POLICY,
         )
@@ -244,7 +244,7 @@ def test_order_gap_rational_verdict_matches_interval_route():
 
 
 def _verdicts(decisions):
-    return [(n, verdict, tag) for n, (verdict, _width), tag in decisions]
+    return [(n, verdict, tag) for n, (verdict, _width, _precision), tag in decisions]
 
 
 @pytest.mark.parametrize("n_lo, n_hi", [(1, 300), (10_000, 10_003)])
@@ -268,6 +268,54 @@ def test_ratio_route_alternation_agrees_when_starved(policy):
     assert all(verdict != "failed" for _, verdict, _ in ratio)
     if policy is not TINY:
         assert decided  # not vacuous: the reference decides some at 16-32 bits
+
+
+def _counts(rep):
+    return rep.proved, rep.failed, rep.undecided, rep.failures
+
+
+# orders 1..20 at n <= 40: the links of orders >= 5 fail at small n, where the
+# series does not yet envelop, so those orders fall back to direct decisions
+@pytest.mark.parametrize(
+    "orders, n_hi",
+    [
+        ((1, 2, 3, 4), 120),
+        ((1, 3), 120),
+        ((2, 4, 6), 120),
+        ((5, 6), 120),
+        (tuple(range(1, 21)), 40),
+    ],
+)
+@pytest.mark.parametrize(
+    "policy", [DEFAULT_POLICY, TINY, PrecisionPolicy(8, 64), PrecisionPolicy(64, 64)]
+)
+def test_chained_alternation_matches_direct_decisions(orders, n_hi, policy):
+    # the top odd and even orders, warm-started, decide the lower orders
+    # through exact links; every order decided on its own from
+    # policy.initial must give the same counts and failures, in order
+    chained = alternation_sweep(1, n_hi, orders, policy)
+    direct = sweeps._report("alternation", 1, n_hi, direct_alternation(1, n_hi, orders, policy))
+    assert _counts(chained) == _counts(direct)
+    assert chained.total == len(orders) * n_hi
+
+
+def test_alternation_decides_only_the_top_orders_warm_started(monkeypatch):
+    # orders 1 and 2 follow from 3 and 4 at every n, and a top order starts
+    # at the precision that decided it at the previous n
+    precisions = []
+    certainly_less = sweeps.certainly_less
+
+    def counting(a, b):
+        precisions.append(max(a.prec, b.prec))
+        return certainly_less(a, b)
+
+    monkeypatch.setattr(sweeps, "certainly_less", counting)
+    rep = alternation_sweep(1, 1200, (1, 2, 3, 4))
+    assert rep.proved == 4 * 1200
+    # two interval decisions per n, plus one 64-bit attempt of each top order
+    # at the first n that needs 128 bits: later n start at 128
+    assert len(precisions) == 2 * 1200 + 2
+    assert set(precisions) == {64, 128}
 
 
 def test_order_improvement_evaluates_each_gap_once(monkeypatch):
