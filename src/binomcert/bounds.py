@@ -57,11 +57,10 @@ __all__ = [
     "exponent_pair",
     "general_rs_bound",
     "central_ratio",
-    "tightness_gap",
 ]
 
 MAX_SERIES_ORDER = 20  # asymptotic series; stay well inside the useful regime
-MAX_GROWTH_BITS = 2**22  # cap on r^(rs) in d_r^(2s): its division is quadratic
+MAX_GROWTH_BITS = 2**22  # cap on r^(rs) in d_r^(2s): it bounds the cost of building r^(rs)
 
 
 @dataclass(frozen=True)
@@ -218,9 +217,11 @@ def general_rs_bound(r: int, s: int, order: int, p: int = 64) -> BoundResult:
     Stirling-consistent, d_r^2 = r^r / (r-1)^(r-1) -- the unique choice for
     which the remainder series D converges to the actual log ratio.  Since
     d_r^2 is rational, d_r^(2s) is carried exactly; no square root of d is
-    ever needed; an r^(rs) of over MAX_GROWTH_BITS bits is refused before
-    it is built.  At r = 2 this is central_upper(s, 2*order).  2*order
-    counts against the series order cap, so order <= 10.
+    ever needed.  Its division costs time linear in the length of r^(rs),
+    so what MAX_GROWTH_BITS bounds is the building of r^(rs) itself: an
+    r^(rs) of over that many bits is refused before it is built.  At r = 2
+    this is central_upper(s, 2*order).  2*order counts against the series
+    order cap, so order <= 10.
     """
     if r < 2:
         raise DomainError("general_rs_bound: need r >= 2")
@@ -253,12 +254,3 @@ def central_ratio(n: int, p: int = 64, binom_value: int | None = None) -> Interv
     hi = ivl._round(binom_value * hi.man, hi.exp - 2 * n, p, True)
     return ivl._ordered(lo, hi, p)  # every step is monotone and rounds outward
 
-
-def tightness_gap(x: Fraction) -> Fraction:
-    """f(x) = 23/(36x) + 1/(8x) - 1/(192x^3) = 55/(72x) - 1/(192x^3): the
-    Gaussian-form central exponent minus the order-2 series exponent.  The
-    bounds share the prefactor 4^n/sqrt(pi n), so f(n) > 0 exactly when the
-    series bound is the tighter one."""
-    if x <= 0:
-        raise ValueError("tightness_gap: x must be > 0")
-    return Fraction(55, 72) / x - Fraction(1, 192) / x**3

@@ -120,11 +120,28 @@ def _round(man: int, exp: int, p: int, up: bool) -> Dyadic:
     return Dyadic(*_norm(-((-man) >> drop) if up else man >> drop, exp + drop))
 
 
-def _div(a: Dyadic, b: Dyadic, p: int, up: bool) -> tuple[int, int]:
-    """a/b rounded down, or up when ``up``, to about p significant bits (b > 0)."""
-    shift = p + 2 + max(0, b.man.bit_length() - a.man.bit_length() + 1)
-    num = a.man << shift
-    return -((-num) // b.man) if up else num // b.man, a.exp - b.exp - shift
+def _quotient(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """q = floor(num * 2**-e / den) and the remainder r >= 0 of that division,
+    its shift on the numerator, or on the divisor when negative.
+
+    The shift p + 3 + bits(den) - bits(num) leaves q with p + 3 or p + 4 bits
+    at any operand lengths (a floor below zero may carry one more), so the
+    division costs about p times the divisor's length: a p-bit quotient needs
+    only the leading bits of its operands (Brent & Zimmermann, *Modern
+    Computer Arithmetic*, 2010, section 1.4).  Rounding q, or q + 1 when r > 0,
+    to p bits gives the floor, or ceiling, of num/den on the p-bit grid."""
+    shift = p + 3 + den.bit_length() - num.bit_length()
+    if shift >= 0:
+        q, r = divmod(num << shift, den)
+    else:
+        q, r = divmod(num, den << -shift)
+    return q, r, -shift
+
+
+def _div(a: Dyadic, b: Dyadic, p: int, up: bool) -> Dyadic:
+    """a/b rounded down, or up when ``up``, to p significant bits (b > 0)."""
+    q, r, e = _quotient(a.man, b.man, p)
+    return _round(q + 1 if up and r else q, a.exp - b.exp + e, p, up)
 
 
 class TriState(str, Enum):
@@ -201,9 +218,7 @@ class IntervalReal:
         _require_positive(self, other)
         p = max(self.prec, other.prec)
         return _ordered(  # lo / other.hi <= hi / other.lo on positive operands
-            _round(*_div(self.lo, other.hi, p, False), p, False),
-            _round(*_div(self.hi, other.lo, p, True), p, True),
-            p,
+            _div(self.lo, other.hi, p, False), _div(self.hi, other.lo, p, True), p
         )
 
 
@@ -283,19 +298,21 @@ def exact_pow2(e: int, p: int = 53) -> IntervalReal:
 
 def from_rational(q: Fraction | tuple[int, int], p: int) -> IntervalReal:
     """Tightest enclosure of q, a ``Fraction`` or a pair (num, den > 0), at
-    precision p; exact when den is a power of two.  A pair is taken without
-    a gcd: nested floors and ceilings give the Dyadics of its reduced form,
-    unless that is a dyadic of over p bits, which the reduced form keeps."""
+    precision p: the floor and ceiling of q on the p-bit grid, exact when den
+    is a power of two.  The quotient of :func:`_quotient` has p + 3 or p + 4
+    bits at any operand lengths, so a numerator of millions of bits costs
+    one division linear in its length.  A pair is taken without a gcd:
+    nested floors and ceilings give the Dyadics of its reduced form, unless
+    that is a dyadic of over p bits, which the reduced form keeps."""
     if p < 2:
         raise ValueError("IntervalReal: precision must be >= 2")
     num, den = q if type(q) is tuple else (q.numerator, q.denominator)
     if den & (den - 1) == 0:  # power of two: exact
         d = dyadic(num, -(den.bit_length() - 1))
         return _ordered(d, d, p)  # zero width
-    shift = p + 2 + max(0, den.bit_length() - abs(num).bit_length() + 1)
-    floor, rest = divmod(num << shift, den)
-    lo = _round(floor, -shift, p, False)
-    hi = _round(floor + (rest > 0), -shift, p, True)
+    floor, rest, e = _quotient(num, den, p)
+    lo = _round(floor, e, p, False)
+    hi = _round(floor + 1 if rest else floor, e, p, True)
     return _ordered(lo, hi, p)  # floor <= ceiling, each rounded outward
 
 
@@ -344,11 +361,6 @@ def sqrt(a: IntervalReal) -> IntervalReal:
 
 # -- pi ----------------------------------------------------------------------
 
-# Arctangent decompositions of pi/4 as (coefficient, reciprocal-argument):
-# the classic 4*atan(1/5) - atan(1/239) plus an independent cross-check form.
-_MACHIN = ((4, 5), (-1, 239))
-_HUTTON = ((2, 3), (1, 7))
-
 
 def _atan_inv_scaled(x: int, q: int) -> tuple[int, int]:
     """Bounds l <= atan(1/x) * 2**q <= h.
@@ -373,27 +385,17 @@ def _atan_inv_scaled(x: int, q: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _pi_from_formula(p: int, formula: tuple) -> IntervalReal:
-    q = p + 16
-    lo_units = hi_units = 0
-    for coeff, x in formula:
-        l, h = _atan_inv_scaled(x, q)
-        if coeff >= 0:
-            lo_units += coeff * l
-            hi_units += coeff * h
-        else:
-            lo_units += coeff * h
-            hi_units += coeff * l
-    # formula encodes pi/4; width stays ~2**(-p-8), far under the 2**(-p+2)
-    # contract, so endpoints are kept unquantized
-    return IntervalReal(
-        Dyadic(*_norm(4 * lo_units, -q)), Dyadic(*_norm(4 * hi_units, -q)), p
-    )
-
-
 def pi(p: int) -> IntervalReal:
-    """Enclosure of pi of width <= 2**(-p+2), from a Machin-style arctan sum."""
-    return _pi_from_formula(p, _MACHIN)
+    """Enclosure of pi of width <= 2**(-p+2), from Machin's arctan sum
+    pi/4 = 4 atan(1/5) - atan(1/239); cached per precision."""
+    q = p + 16
+    l5, h5 = _atan_inv_scaled(5, q)
+    l239, h239 = _atan_inv_scaled(239, q)
+    # width stays ~2**(-p-8), far under the 2**(-p+2) contract, so endpoints
+    # are kept unquantized
+    return IntervalReal(
+        Dyadic(*_norm(4 * (4 * l5 - h239), -q)), Dyadic(*_norm(4 * (4 * h5 - l239), -q)), p
+    )
 
 
 # -- exponential ---------------------------------------------------------------

@@ -24,9 +24,8 @@ by cross-multiplying the integer pairs: exp is monotone, so exp(D_J) <
 exp(D_top) < R(n), or R(n) < exp(D_top) < exp(D_J).  Otherwise, as at small
 n where a high-order series does not yet envelop, the order is decided
 directly, from the policy's first precision.  Each top decision starts at
-the precision that decided it at the previous n (warm start), and at the
-policy's first precision at the first n and after any verdict other than
-``proved``.
+the precision where its decision at the previous n stopped (warm start),
+whatever that verdict was.
 
 :func:`run_verify` may run its checks in separate processes, one task per
 check over its whole range, so each report is a sequential run's.  The
@@ -134,8 +133,8 @@ def sandwich_sweep(
     These are the alternation check's decisions at orders 1 and 2, so the
     report equals ``alternation_sweep(n_lo, n_hi, (1, 2))`` under its own name:
     orders 1 and 2 are each the top order of their parity, so each gets an
-    interval decision at every n, warm-started at the precision that decided
-    it at n - 1.
+    interval decision at every n, warm-started where its decision at n - 1
+    stopped.
     """
     return _report("sandwich", n_lo, n_hi, _alternation(n_lo, n_hi, (1, 2), policy))
 
@@ -149,10 +148,10 @@ def dominance_sweep(
     """Order-2 series bound below the Gaussian-form central bound.
 
     The prefactors are identical and exp is monotone, so per n this is the
-    sign test f(n) > 0 of :func:`bounds.tightness_gap`, times 72 * 192 n^3:
-    55 * 192 n^2 > 72, in integers -- no intervals.  At the spot-check
-    points the full interval route runs too, right after the exact test at
-    that n, and must agree.
+    sign of the Gaussian-form exponent minus the order-2 one, f(n) =
+    55/(72 n) - 1/(192 n^3), times 72 * 192 n^3: 55 * 192 n^2 > 72, in
+    integers -- no intervals.  At the spot-check points the full interval
+    route runs too, right after the exact test at that n, and must agree.
     """
 
     def decisions():
@@ -176,7 +175,7 @@ def alternation_sweep(
     Decided as exp(D_J(n)) < R(n) at odd J and R(n) < exp(D_J(n)) at even J,
     with R(n) built once per n and precision for all the orders.  Only the
     highest odd and the highest even of ``orders`` get interval decisions at
-    each n, each warm-started at the precision that decided it at n - 1.  A
+    each n, each warm-started where its decision at n - 1 stopped.  A
     lower order J is proved from its top order's proved verdict when the
     exact link D_J < D_top (odd J) or D_top < D_J (even J) holds, and is
     decided directly from ``policy.initial`` otherwise; see the module
@@ -197,8 +196,7 @@ def _alternation(n_lo: int, n_hi: int, orders: tuple[int, ...], policy: Precisio
         for t in top.values():
             exponents[t] = bd.exponent_pair(n, 2, t)
             decided[t] = _decide_order(t, exponents[t], ratio, policy, start[t])
-            verdict, _width, p = decided[t]
-            start[t] = p if verdict == "proved" else policy.initial
+            start[t] = decided[t][2]
         for order in orders:
             t = top[order % 2]
             decision = decided[t]

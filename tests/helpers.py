@@ -20,8 +20,11 @@ bounds, :func:`direct_alternation`, which decides every order of it at every
 n on its own, from the policy's first precision,
 :func:`reference_general_exponent`, the ``Fraction`` sum that the
 integer exponent pair replaced, :func:`reference_central_ratio`, the
-composed interval route that ``central_ratio``'s Dyadic steps replaced, and
-:func:`reference_scaled_width`, which normalises the widths it compares.
+composed interval route that ``central_ratio``'s Dyadic steps replaced,
+:func:`reference_scaled_width`, which normalises the widths it compares,
+:func:`tightness_gap`, the ``Fraction`` exponent gap that ``dominance_sweep``
+decides as an integer test, and :func:`hutton_pi`, a second arctan series
+for pi to check ``interval.pi`` against.
 
 The interval inspections only tests use are plain functions here:
 :func:`as_fraction` of a ``Dyadic``, and :func:`width`, :func:`rel_width`,
@@ -40,6 +43,7 @@ from binomcert.combinatorics import bernoulli, central_binomial, central_binomia
 from binomcert.interval import (
     Dyadic,
     IntervalReal,
+    _atan_inv_scaled,
     _cmp,
     _dyadic_ratio,
     _exp_endpoint,
@@ -439,3 +443,24 @@ def reference_scaled_width(a: IntervalReal, b: IntervalReal) -> float:
         if _cmp(ad, m) > 0:
             m = ad
     return _dyadic_ratio(w, m)
+
+
+# -- reference tightness gap and a second pi series -------------------------------
+
+
+def tightness_gap(x: Fraction) -> Fraction:
+    """f(x) = 23/(36x) + 1/(8x) - 1/(192x^3) = 55/(72x) - 1/(192x^3): the
+    Gaussian-form central exponent minus the order-2 series exponent.  The
+    bounds share the prefactor 4^n/sqrt(pi n), so f(n) > 0 exactly when the
+    series bound is the tighter one."""
+    return Fraction(55, 72) / x - Fraction(1, 192) / x**3
+
+
+def hutton_pi(p: int) -> IntervalReal:
+    """Enclosure of pi from Hutton's pi/4 = 2 atan(1/3) + atan(1/7), summed
+    like ``interval.pi``'s Machin series but from other arguments."""
+    q = p + 16
+    l3, h3 = _atan_inv_scaled(3, q)
+    l7, h7 = _atan_inv_scaled(7, q)
+    lo, hi = Dyadic(*_norm(4 * (2 * l3 + l7), -q)), Dyadic(*_norm(4 * (2 * h3 + h7), -q))
+    return IntervalReal(lo, hi, p)

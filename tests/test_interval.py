@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 import re
@@ -31,8 +32,7 @@ from binomcert.interval import (
     scaled_width,
     sqrt,
 )
-from binomcert.interval import _HUTTON, _pi_from_formula  # a second, structurally different pi series
-from binomcert.interval import _exp_endpoint, _exp_squared
+from binomcert.interval import _exp_endpoint, _exp_squared, _quotient
 from binomcert.bounds import general_exponent
 from helpers import (
     _add,
@@ -40,6 +40,7 @@ from helpers import (
     as_fraction as frac,
     assert_encloses,
     contains,
+    hutton_pi,  # a second, structurally different pi series
     is_exact,
     midpoint_exp,
     oracle_bracket,
@@ -127,6 +128,68 @@ def test_from_rational_takes_the_unreduced_pair():
 
     check_series()
     check_any()
+
+
+def _grid(x: Fraction, p: int) -> tuple[Fraction, Fraction]:
+    """Floor and ceiling of x != 0 on the grid of p-bit dyadics at x's
+    leading bit: steps of 2**(e - p + 1), with 2**e <= |x| < 2**(e + 1)."""
+    num, den = abs(x.numerator), x.denominator
+    e = num.bit_length() - den.bit_length()
+    if num << max(0, -e) < den << max(0, e):
+        e -= 1
+    step = Fraction(2) ** (e - p + 1)
+    k = math.floor(x / step)
+    return k * step, (k if k * step == x else k + 1) * step
+
+
+def test_quotient_keeps_p_plus_3_or_4_bits_at_any_lengths():
+    """One quotient rule for ``from_rational`` and ``/``: the shift lands on
+    the numerator or the divisor, so q has p + 3 or p + 4 bits for operand
+    lengths 1:2000 to 2000:1, and both round it to the floor and ceiling of
+    the exact quotient on the p-bit grid."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    length = st.integers(1, 2000).flatmap(lambda k: st.integers(2 ** (k - 1), 2**k - 1))
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(length, length, st.sampled_from((1, -1)), st.sampled_from((2, 8, 64, 512)))
+    @hypothesis.example(1, 2**1999 + 1, -1, 2)
+    @hypothesis.example(2**2000 - 1, 3, 1, 512)
+    @hypothesis.example(2**2000 - 1, 2**100, -1, 8)  # a floor below zero that carries
+    def check(mag, den, sign, p):
+        num = sign * mag
+        q, r, e = _quotient(num, den, p)
+        assert q * (den << max(0, e)) + r == num << max(0, -e)  # the shifted numerator
+        assert 0 <= r < den << max(0, e)
+        # the quotient of the magnitudes; the floor of a negative one may carry past it
+        assert (abs(q) - (q < 0 < r)).bit_length() in (p + 3, p + 4)
+        x = Fraction(num, den)
+        iv = from_rational((num, den), p)
+        if den & (den - 1):
+            assert (frac(iv.lo), frac(iv.hi)) == _grid(x, p)
+        else:  # a power-of-two denominator is exact
+            assert is_exact(iv) and frac(iv.lo) == x
+        quot = from_int(mag, p) / from_int(den, p)
+        assert (frac(quot.lo), frac(quot.hi)) == _grid(abs(x), p)
+
+    check()
+
+
+def test_quotient_at_the_growth_cap_is_pinned():
+    # r = 4 at the largest s that MAX_GROWTH_BITS accepts: 4^(4s) has 2^22 + 1
+    # bits over a 3^(3s) of about 2.5 million; the Dyadics were recorded from
+    # the division of the whole shifted numerator, about 4 s each on 2 vCPUs
+    s = bd.MAX_GROWTH_BITS // 8
+    num, den = 4 ** (4 * s), 3 ** (3 * s)
+    pinned = {
+        8: (Dyadic(93, 1701367), Dyadic(187, 1701366)),
+        64: (Dyadic(6711150039411520931, 1701311), Dyadic(13422300078823041863, 1701310)),
+    }
+    for p, (lo, hi) in pinned.items():
+        iv = from_rational((num, den), p)
+        assert (iv.lo, iv.hi) == (lo, hi)
+        quot = from_int(num, p) / from_int(den, p)
+        assert (quot.lo, quot.hi) == (lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -690,7 +753,7 @@ def test_pi_width_and_nesting():
 def test_pi_two_formulas_overlap_to_256():
     for p in range(2, 257):
         a = pi(p)
-        b = _pi_from_formula(p, _HUTTON)
+        b = hutton_pi(p)
         assert frac(a.lo) <= frac(b.hi) and frac(b.lo) <= frac(a.hi), p
 
 

@@ -318,6 +318,25 @@ def test_alternation_decides_only_the_top_orders_warm_started(monkeypatch):
     assert set(precisions) == {64, 128}
 
 
+def test_alternation_restarts_a_top_order_where_it_stopped(monkeypatch):
+    # a top order starts where its decision at n - 1 stopped, whatever the
+    # verdict: at (8, 64) order 6 is left undecided at 64 bits from n = 21
+    # on and order 5 from n = 32 on, and each later n takes one 64-bit
+    # attempt of each; a restart from 8 bits after every undecided verdict
+    # took 807
+    precisions = []
+    certainly_less = sweeps.certainly_less
+
+    def counting(a, b):
+        precisions.append(max(a.prec, b.prec))
+        return certainly_less(a, b)
+
+    monkeypatch.setattr(sweeps, "certainly_less", counting)
+    rep = alternation_sweep(1, 120, (5, 6), PrecisionPolicy(8, 64))
+    assert (rep.proved, rep.failed, rep.undecided) == (51, 0, 189)
+    assert len(precisions) == 246
+
+
 def test_order_improvement_evaluates_each_gap_once(monkeypatch):
     calls = []
     ratio_gap = sweeps._ratio_gap
