@@ -33,10 +33,10 @@ and the parameters it prints are defined in :mod:`binomcert.cli`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, log2
+from typing import NamedTuple
 
 from . import interval as ivl
 from .combinatorics import bernoulli, central_binomial
@@ -63,8 +63,7 @@ MAX_SERIES_ORDER = 20  # asymptotic series; stay well inside the useful regime
 MAX_GROWTH_BITS = 2**22  # cap on r^(rs) in d_r^(2s): it bounds the cost of building r^(rs)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """A bound evaluation: exact exponent plus certified value."""
 
     exponent: Fraction

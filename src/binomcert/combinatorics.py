@@ -123,7 +123,8 @@ def catalan(n: int) -> int:
     """Catalan number C(2n, n) / (n + 1); the division is always exact."""
     b = central_binomial(n)
     q, r = divmod(b, n + 1)
-    assert r == 0  # (n+1) | C(2n,n) for all n >= 0
+    if r:  # (n+1) | C(2n,n) for all n >= 0; unlike an assert, kept under -O
+        raise ArithmeticError(f"catalan: {n + 1} does not divide C(2n, n) at n = {n}")
     return q
 
 

@@ -27,7 +27,6 @@ immutable once stored.
 from __future__ import annotations
 
 import math as _math
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -161,7 +160,6 @@ class DomainError(ValueError):
     command-line input can reach; the command line exits 64 on it."""
 
 
-@dataclass(frozen=True)
 class IntervalReal:
     """Certified enclosure [lo, hi] of a real number.
 
@@ -175,17 +173,29 @@ class IntervalReal:
     construction (of ``-``, ``*``, ``/``, from_rational, from_int,
     exact_pow2, sqrt and exp) come from the private ``_ordered``, which
     checks neither: its caller guarantees both.
+
+    An interval is immutable: setting or deleting a field raises
+    ``AttributeError``.  Two intervals are equal, and hash equal, when their
+    (lo, hi, prec) are; an interval equals nothing else, a tuple neither.
     """
 
-    lo: Dyadic
-    hi: Dyadic
-    prec: int
-
-    def __post_init__(self) -> None:
-        if _cmp(self.lo, self.hi) > 0:
+    def __init__(self, lo: Dyadic, hi: Dyadic, prec: int) -> None:
+        if _cmp(lo, hi) > 0:
             raise ValueError("IntervalReal: lo > hi")
-        if self.prec < 2:
+        if prec < 2:
             raise ValueError("IntervalReal: precision must be >= 2")
+        self.__dict__.update(lo=lo, hi=hi, prec=prec)  # no __setattr__, as in _ordered
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"IntervalReal is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is IntervalReal and self.__dict__ == other.__dict__  # lo, hi, prec
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.prec))
 
     # -- inspection ---------------------------------------------------------
 
@@ -228,7 +238,7 @@ _ONE = Dyadic(1, 0)
 def _ordered(lo: Dyadic, hi: Dyadic, p: int) -> IntervalReal:
     """``IntervalReal(lo, hi, p)`` without its checks (see its docstring)."""
     iv = object.__new__(IntervalReal)
-    fields = iv.__dict__  # frozen: no __setattr__
+    fields = iv.__dict__  # immutable: no __setattr__
     fields["lo"], fields["hi"], fields["prec"] = lo, hi, p
     return iv
 
@@ -491,23 +501,26 @@ def exp(a: IntervalReal) -> IntervalReal:
 MAX_PRECISION = 16384  # bits: first power of two above the ~14,300 that MAX_DIGITS digits need
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
+class PrecisionPolicy(NamedTuple("_Schedule", [("initial", int), ("maximum", int)])):
     """Escalation schedule: start at ``initial`` bits, double until
     ``maximum``; a comparison still undecided at ``maximum`` is reported as
     undecided, never guessed.  ``maximum`` may not exceed
     :data:`MAX_PRECISION`, so every schedule ends in bounded time."""
 
-    initial: int = 64
-    maximum: int = 512
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.initial < 2 or self.initial > self.maximum:
+    def __new__(cls, initial: int = 64, maximum: int = 512) -> PrecisionPolicy:
+        if initial < 2 or initial > maximum:
             raise DomainError("PrecisionPolicy: need 2 <= initial <= maximum")
-        if self.maximum > MAX_PRECISION:
+        if maximum > MAX_PRECISION:
             raise DomainError(
                 f"PrecisionPolicy: maximum must be <= {MAX_PRECISION} bits (MAX_PRECISION)"
             )
+        return super().__new__(cls, initial, maximum)
+
+    @classmethod
+    def _make(cls, fields) -> PrecisionPolicy:  # what _replace builds through: checked too
+        return cls(*fields)
 
     def precisions(self) -> Iterator[int]:
         p = self.initial

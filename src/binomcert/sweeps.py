@@ -30,15 +30,17 @@ whatever that verdict was.
 :func:`run_verify` may run its checks in separate processes, one task per
 check over its whole range, so each report is a sequential run's.  The
 module-level caches (Bernoulli, the series coefficients, pi) are per
-process: a worker fills its own.
+process: a worker fills its own.  The pool class is imported at the first
+fan-out, not with this module: ``sweeps.ProcessPoolExecutor`` is
+``concurrent.futures.ProcessPoolExecutor`` once read, and it is the
+attribute that tests and the benchmark's tracer replace.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import pairwise
 
@@ -62,19 +64,28 @@ FAILURE_CAP = 20  # keep reports bounded; counts stay exact
 DEFAULT_ORDERS = (1, 2, 3, 4)  # series orders of the alternation check
 
 
-@dataclass
 class SweepReport:
-    check: str
-    n_lo: int
-    n_hi: int
-    proved: int = 0
-    failed: int = 0
-    undecided: int = 0
-    # the widest pair, by ivl.scaled_width, among the check's interval
-    # decisions; a verdict chained from a top order carries the top's width
-    worst_rel_width: float = 0.0
-    wall_time: float = 0.0  # seconds of this check, in the process that ran it
-    failures: list = field(default_factory=list)  # (n, detail) pairs, capped
+    """The verdicts of one check over n_lo..n_hi.  Equal by its fields; a
+    plain class, so each report has an instance ``__dict__`` (pickled with
+    it, and where a tracer may stash its own data)."""
+
+    def __init__(self, check: str, n_lo: int, n_hi: int) -> None:
+        self.check, self.n_lo, self.n_hi = check, n_lo, n_hi
+        self.proved = self.failed = self.undecided = 0
+        # the widest pair, by ivl.scaled_width, among the check's interval
+        # decisions; a verdict chained from a top order carries the top's width
+        self.worst_rel_width = 0.0
+        self.wall_time = 0.0  # seconds of this check, in the process that ran it
+        self.failures: list = []  # (n, detail) pairs, capped
+
+    def _field_values(self) -> dict:  # a tracer's _private stash is no field
+        return {name: value for name, value in vars(self).items() if name[0] != "_"}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SweepReport and self._field_values() == other._field_values()
+
+    def __repr__(self) -> str:
+        return f"SweepReport({self._field_values()})"
 
     @property
     def total(self) -> int:
@@ -282,6 +293,18 @@ def general_r_sweep(
 # -- orchestration -------------------------------------------------------------
 
 
+def __getattr__(name: str):
+    """Import ``ProcessPoolExecutor`` at its first read (PEP 562) and keep it
+    in the module globals: a process that never fans out never loads
+    ``concurrent.futures`` and ``multiprocessing``."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _run_task(task) -> SweepReport:
     sweep, n_lo, n_hi, kwargs = task
     return sweep(n_lo, n_hi, **kwargs)
@@ -302,7 +325,8 @@ def run_verify(
     ``min(jobs, tasks, os.cpu_count())`` workers when that is at least 2,
     and in this process otherwise.  Either way a check runs whole in one
     process: its report is a sequential run's, and its ``wall_time`` is its
-    own.
+    own.  The pool class is ``sweeps.ProcessPoolExecutor``, read at the call:
+    imported at the first fan-out, unless a test or the tracer replaced it.
     """
     for order in orders:
         bd.check_series_order(order)
@@ -318,5 +342,5 @@ def run_verify(
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers < 2:
         return [_run_task(task) for task in tasks]
-    with ProcessPoolExecutor(workers) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(workers) as pool:
         return list(pool.map(_run_task, tasks))

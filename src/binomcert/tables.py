@@ -11,7 +11,7 @@ verbatim so the comparison fails loudly and feeds the errata report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds as bd
 from . import interval as ivl
@@ -93,23 +93,20 @@ _EXPECTED = {"table1": _TABLE1, "table2": _TABLE2, "table3": _TABLE3}
 KNOWN_MISMATCHES = {("table1", 5, "agievich_central")}
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     column: str
     rendered: str
     expected: str | None
     status: str  # match | mismatch | undecided
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     n: int
     label: str
     cells: tuple[Cell, ...]
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     table_id: str
     digits: int
     rows: tuple[TableRow, ...]

@@ -219,6 +219,20 @@ def test_internal_errors_exit_70(monkeypatch, error):
     assert err == f"binomcert: internal error: {type(error).__name__}: boom\n"
 
 
+def _corner_inputs() -> list[tuple[int, str]]:
+    lines = (Path(__file__).parent / "corner_inputs.txt").read_text(encoding="utf-8").splitlines()
+    return [
+        (int(code), args)
+        for code, args in (line.split("\t") for line in lines if line and line[0] != "#")
+    ]
+
+
+@pytest.mark.parametrize("code, args", _corner_inputs())
+def test_corner_input_exit_code(code, args):
+    # CI runs the same list whole-process, each under a 2-second limit
+    assert _run(args.split())[0] == code
+
+
 def test_module_entry_point_passes_the_exit_code():
     src = Path(cli.__file__).parents[1]
     proc = subprocess.run(

@@ -138,6 +138,12 @@ def test_catalan_examples():
     assert catalan(10) == 16796
 
 
+def test_catalan_checks_its_division(monkeypatch):
+    monkeypatch.setattr(combinatorics, "central_binomial", lambda n: 7)
+    with pytest.raises(ArithmeticError, match="3 does not divide"):  # not an assert: kept under -O
+        catalan(2)
+
+
 def test_catalan_recurrence():
     # C_{n+1} = sum_{i=0}^{n} C_i C_{n-i}
     cs = [catalan(i) for i in range(22)]

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -117,7 +116,7 @@ def test_run_verify_refuses_before_any_sweep(monkeypatch):
 
 
 def _strip_timing(rep):
-    d = dataclasses.asdict(rep)
+    d = dict(vars(rep))
     d.pop("wall_time")
     return d
 
