@@ -61,6 +61,12 @@ __all__ = [
 
 MAX_SERIES_ORDER = 20  # asymptotic series; stay well inside the useful regime
 MAX_GROWTH_BITS = 2**22  # cap on r^(rs) in d_r^(2s): it bounds the cost of building r^(rs)
+# exponents with more integer bits are first checked against MAX_DECIMAL_EXPONENT
+# (one of 3,984 bits is refused by exp and the renderer in about 0.4 s on 2 vCPUs)
+_EXP_GATE_BITS = 4096
+# enclosures [lo, hi] of log10(2) = 0.30102999566398... and log10(e) = 0.43429448190325...
+_LOG10_2 = (Fraction(30102999566, 10**11), Fraction(30102999567, 10**11))
+_LOG10_E = (Fraction(43429448190, 10**11), Fraction(43429448191, 10**11))
 
 
 class BoundResult(NamedTuple):
@@ -123,7 +129,32 @@ def _evaluate(scale: IntervalReal, sqrt_scale: Fraction, n: int, exponent: Fract
     """
     root = ivl.sqrt(ivl.from_rational(sqrt_scale, p) * ivl.pi(p) * ivl.from_int(n, p))
     pref = scale / root
+    _refuse_unprintable(pref, exponent)
     return pref * ivl.exp(ivl.from_rational(exponent, p))
+
+
+def _refuse_unprintable(pref: IntervalReal, exponent: Fraction) -> None:
+    """Refuse pref * exp(exponent) before its exp when its decimal exponent is
+    certainly beyond MAX_DECIMAL_EXPONENT, with the renderer's message.
+
+    exp of an argument of b integer bits costs about b^2 log b, so an
+    exponent of over _EXP_GATE_BITS integer bits is judged first, from the
+    exact exponent, the positions of the prefactor's leading bits and the
+    enclosures of log10(2) and log10(e).  Any other value goes to exp and
+    the renderer, which decide it as before.
+    """
+    if abs(exponent.numerator).bit_length() - exponent.denominator.bit_length() <= _EXP_GATE_BITS:
+        return
+    # pref > 0 lies in [2**lo2, 2**hi2): it is a quotient of positive intervals
+    lo2 = pref.lo.man.bit_length() - 1 + pref.lo.exp
+    hi2 = pref.hi.man.bit_length() + pref.hi.exp
+    # log10 of the value, log2(pref) log10(2) + exponent log10(e), lies in [low, high]
+    low = min(lo2 * c for c in _LOG10_2) + min(exponent * c for c in _LOG10_E)
+    high = max(hi2 * c for c in _LOG10_2) + max(exponent * c for c in _LOG10_E)
+    cap = ivl.MAX_DECIMAL_EXPONENT
+    # one decade of margin: a rounding may carry the leading digit into the next
+    if low > cap + 1 or high < -cap - 1:
+        ivl._refuse_exponent((low + high) // 2)
 
 
 def _require_positive(n: int) -> None:
@@ -171,14 +202,19 @@ def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
     return central_lower(n, 1, p), central_upper(n, 2, p)
 
 
+@lru_cache(maxsize=1)  # a value escalating its precision asks for the same pair again
+def _growth(r: int, s: int) -> tuple[int, int]:
+    """d_r^(2s) = r^(rs) / (r-1)^((r-1)s), in lowest terms: gcd(r, r-1) = 1."""
+    return r ** (r * s), (r - 1) ** ((r - 1) * s)
+
+
 def _series_bound(r: int, s: int, order: int, p: int) -> BoundResult:
     """c_r * d_r^(2s) / sqrt(s) * exp(D_order(s, r)): the one body of every
     series bound; at r = 2 it is 4^s / sqrt(pi s) * exp(D_order(s, 2))."""
     if r == 2:
         scale = ivl.exact_pow2(2 * s, p)
     else:
-        # d_r^(2s) = r^(rs) / (r-1)^((r-1)s), in lowest terms: gcd(r, r-1) = 1
-        scale = ivl.from_rational((r ** (r * s), (r - 1) ** ((r - 1) * s)), p)
+        scale = ivl.from_rational(_growth(r, s), p)
     exponent = general_exponent(s, r, order)
     sqrt_scale = Fraction(2 * (r - 1), r)  # 2 * (1 - 1/r); times pi*s under the root
     return BoundResult(exponent, _evaluate(scale, sqrt_scale, s, exponent, p))

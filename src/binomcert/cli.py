@@ -11,11 +11,16 @@ internal error: any other exception, ``ValueError`` included (one line on
 stderr); 73 the ``--out`` file could not be written (one line on stderr).
 
 Output is deterministic: identical invocations produce byte-identical
-payloads once ``--no-timing`` drops the wall-clock fields.
+payloads once ``--no-timing`` drops the wall-clock fields of ``verify``, the
+one payload with such fields.
 
-The nine ``bound`` names, the parameters printed with each and the
-:mod:`binomcert.bounds` call behind each are defined here, in ``_BOUNDS``.
-The argument parser is built once, at import.
+Each command takes only the options it reads: ``--strict`` exists only on
+``table`` and ``bound``, the two commands whose exit code it changes, and
+``--no-timing`` only on ``verify``.  The nine ``bound`` names, the
+parameters printed with each, their defaults and the
+:mod:`binomcert.bounds` call behind each are defined here, in ``_BOUNDS``;
+``bound`` refuses a ``--k``, ``--r`` or ``--order`` that the named bound
+does not take.  The argument parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -51,8 +56,7 @@ EXIT_CANTCREAT = 73
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)  # one line, as every exit 64
         raise SystemExit(EXIT_USAGE)
 
 
@@ -66,15 +70,11 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--precision-max", type=int, default=DEFAULT_POLICY.maximum, metavar="BITS"
     )
-    common.add_argument(
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument(
         "--strict",
         action="store_true",
         help="treat undecided rendering results as exit code 2",
-    )
-    common.add_argument(
-        "--no-timing",
-        action="store_true",
-        help="omit wall-time fields for byte-identical output",
     )
 
     parser = _Parser(prog="binomcert", description=__doc__)
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
 
     p_table = sub.add_parser(
         "table",
-        parents=[common],
+        parents=[common, strict],
         help="recompute a published table and grade every cell",
     )
     p_table.set_defaults(run=_cmd_table)
@@ -101,6 +101,11 @@ def _build_parser() -> _Parser:
     p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--max-n", type=int, required=True, metavar="N")
     p_verify.add_argument(
+        "--no-timing",
+        action="store_true",
+        help="omit wall-time fields for byte-identical output",
+    )
+    p_verify.add_argument(
         "--order",
         type=int,
         action="append",
@@ -118,21 +123,28 @@ def _build_parser() -> _Parser:
     )
 
     p_bound = sub.add_parser(
-        "bound", parents=[common], help="evaluate one named bound at one point"
+        "bound", parents=[common, strict], help="evaluate one named bound at one point"
     )
     p_bound.set_defaults(run=_cmd_bound)
     p_bound.add_argument("n", type=int)
     p_bound.add_argument("name", choices=list(_BOUNDS))
     p_bound.add_argument("--digits", type=int, default=10)
-    p_bound.add_argument("--k", type=int, default=0, help="offset for the Gaussian-form bounds")
-    p_bound.add_argument("--r", type=int, default=3, help="ratio r for GeneralRS (s := n)")
-    p_bound.add_argument(
-        "--order",
-        type=int,
-        default=None,
-        help="series order J for CentralOrderN/CatalanOrderN (odd J = lower "
-        "bound), or N for GeneralRS (2N <= 20)",
-    )
+    # absent from the namespace unless given, so that _cmd_bound sees what was given
+    for key, what in (
+        ("k", "offset k of the Gaussian-form bounds"),
+        ("r", "ratio r of C(rs, s), s := n"),
+        ("order", "series order J (odd J = lower bound; 2 or 4 for CatalanOrderN), "
+         "or N for GeneralRS (2N <= 20)"),
+    ):
+        takers = ", ".join(
+            f"{name} (default {spec[key]})" for name, (spec, _) in _BOUNDS.items() if key in spec
+        )
+        p_bound.add_argument(
+            f"--{key}",
+            type=int,
+            default=argparse.SUPPRESS,
+            help=f"{what}; taken by {takers}; any other bound refuses it",
+        )
 
     p_errata = sub.add_parser(
         "errata", parents=[common], help="emit the reproducible discrepancies"
@@ -272,31 +284,38 @@ def _cmd_verify(args) -> int:
 # -- bound rendering -------------------------------------------------------------
 
 
-# Each bound name -> (the parameters printed with it, its default --order, its
-# BoundResult at precision p from those parameters), in the parser's order.
-# Every bound is looked up in ``bd`` when it is called, never stored here.
+# Each bound name -> (its parameters in print order, each with its default, or
+# None for the positional n, which GeneralRS prints as s; its BoundResult at
+# precision p from those parameters), in the parser's order.  Every bound is
+# looked up in ``bd`` when it is called, never stored here.
 _BOUNDS = {
-    "AgievichGeneral": (("n", "k"), None, lambda p, n, k: bd.agievich_general(n, k, p)),
-    "AgievichShifted": (("n", "k"), None, lambda p, n, k: bd.agievich_shifted(n, k, p)),
-    "AgievichCentral": (("n",), None, lambda p, n: bd.agievich_central(n, p)),
-    "AgievichCatalan": (("n",), None, lambda p, n: bd.agievich_catalan(n, p)),
-    "SasvariLower": (("n",), None, lambda p, n: bd.central_lower(n, 1, p)),
-    "SasvariUpper": (("n",), None, lambda p, n: bd.central_upper(n, 2, p)),
+    "AgievichGeneral": ({"n": None, "k": 0}, lambda p, n, k: bd.agievich_general(n, k, p)),
+    "AgievichShifted": ({"n": None, "k": 0}, lambda p, n, k: bd.agievich_shifted(n, k, p)),
+    "AgievichCentral": ({"n": None}, lambda p, n: bd.agievich_central(n, p)),
+    "AgievichCatalan": ({"n": None}, lambda p, n: bd.agievich_catalan(n, p)),
+    "SasvariLower": ({"n": None}, lambda p, n: bd.central_lower(n, 1, p)),
+    "SasvariUpper": ({"n": None}, lambda p, n: bd.central_upper(n, 2, p)),
     "CentralOrderN": (
-        ("n", "order"),
-        2,
+        {"n": None, "order": 2},
         lambda p, n, order: (bd.central_lower if order % 2 else bd.central_upper)(n, order, p),
     ),
-    "CatalanOrderN": (("n", "order"), 2, lambda p, n, order: bd.catalan_upper(n, order, p)),
-    "GeneralRS": (("r", "s", "order"), 1, lambda p, r, s, order: bd.general_rs_bound(r, s, order, p)),
+    "CatalanOrderN": ({"n": None, "order": 2}, lambda p, n, order: bd.catalan_upper(n, order, p)),
+    "GeneralRS": (
+        {"r": 3, "s": None, "order": 1},
+        lambda p, r, s, order: bd.general_rs_bound(r, s, order, p),
+    ),
 }
 
 
 def _cmd_bound(args) -> int:
-    keys, default_order, evaluate = _BOUNDS[args.name]
-    order = default_order if args.order is None else args.order  # an explicit 0 stays 0
-    given = {"n": args.n, "s": args.n, "k": args.k, "r": args.r, "order": order}
-    name, params = args.name, {key: given[key] for key in keys}
+    name = args.name
+    spec, evaluate = _BOUNDS[name]
+    given = {key: v for key, v in vars(args).items() if key in ("k", "r", "order")}
+    unread = [f"--{key}" for key in given if key not in spec]
+    if unread:
+        raise DomainError(f"bound {name} takes no {' or '.join(unread)}")
+    given.update(n=args.n, s=args.n)
+    params = {key: given.get(key, default) for key, default in spec.items()}
     evaluated = []  # the result of each precision tried; the last one is reported
 
     def value_at(p: int):

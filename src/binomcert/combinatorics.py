@@ -109,14 +109,15 @@ def central_binomials(n_lo: int, n_hi: int) -> Iterator[tuple[int, int]]:
     C(2n+2, n+1) = C(2n, n) * 2(2n+1) / (n+1), with the division always exact.
     The first value is a fresh :func:`binomial` call, by the factored route
     once n_lo >= 200; each later one costs one big-int multiply and one exact
-    division.
+    division, and none is built past n_hi.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("central_binomials: need 0 <= n_lo <= n_hi")
     b = central_binomial(n_lo)
-    for n in range(n_lo, n_hi + 1):
-        yield n, b
+    yield n_lo, b
+    for n in range(n_lo, n_hi):
         b = b * (2 * (2 * n + 1)) // (n + 1)
+        yield n + 1, b
 
 
 def catalan(n: int) -> int:

@@ -577,7 +577,7 @@ def _round_scaled(num: int, shift: int, den: int, digits: int) -> str:
         num <<= shift - k
     else:
         den <<= k - shift
-    n, r = divmod(num, den)  # n = floor(value / 10**k), r / den the fraction left
+    n, r = _divmod_short(num, den)  # n = floor(value / 10**k), r / den the fraction left
     top = 10**digits
     while n >= top:  # e was too small: divide the quotient by ten
         n, t = divmod(n, 10)
@@ -601,6 +601,26 @@ def _round_scaled(num: int, shift: int, den: int, digits: int) -> str:
     if e >= 0:
         return s[: e + 1] + "." + s[e + 1 :]
     return "0." + "0" * (-e - 1) + s
+
+
+def _divmod_short(num: int, den: int) -> tuple[int, int]:
+    """divmod(num, den) for num >= 0 and den > 0, exact, in about the time of
+    one multiplication when the quotient is much shorter than ``den``.
+
+    The quotient of the leading bits, floor((num >> t) / ((den >> t) + 1)),
+    is at most the true one and, with t leaving the divisor 64 bits longer
+    than the quotient, short of it by at most one or two; one product and a
+    step or two fix it.  ``divmod`` itself costs the quotient's length times
+    the divisor's: at 4300 digits of a million-digit value, twice as long."""
+    t = 2 * den.bit_length() - num.bit_length() - 64
+    if t <= 64:
+        return divmod(num, den)
+    q = (num >> t) // ((den >> t) + 1)
+    r = num - q * den
+    while r >= den:
+        q += 1
+        r -= den
+    return q, r
 
 
 def _about(x: int) -> str:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -295,6 +296,30 @@ def test_growth_cap_keeps_every_value_renderable(monkeypatch):
         r += 1
     assert r > 10**5
     assert 731_000 < worst < ivl.MAX_DECIMAL_EXPONENT
+
+
+def test_unprintable_values_are_refused_before_exp(monkeypatch):
+    # an exponent of over 4096 integer bits whose value is certainly beyond
+    # MAX_DECIMAL_EXPONENT is refused with the renderer's message, before exp
+    def no_exp(*args):
+        raise AssertionError("exp called")
+
+    monkeypatch.setattr(ivl, "exp", no_exp)
+    for k, about in (
+        (10**1000, "-8.686e+1998"),
+        (-(10**2000), "-8.686e+3998"),
+        (9 * 10**4299, "-7.036e+8598"),
+    ):
+        with pytest.raises(ivl.DomainError, match=re.escape(f"about {about} is outside")):
+            bd.agievich_shifted(5, k)
+    n = 2**4200  # 4^n exp(-n) / sqrt(pi n): the prefactor wins, far above the cap
+    with pytest.raises(ivl.DomainError, match=r"decimal exponent about \d.*MAX_DECIMAL_EXPONENT"):
+        bd.agievich_shifted(n, n)
+    # k^2/n within a few units of 2n log 2: 4^n exp(-k^2/n) / sqrt(pi n) is
+    # near 10^-632, so the value is left to exp and the renderer
+    with mpmath.workdps(1400):
+        k = int(mpmath.floor(n * mpmath.sqrt(2 * mpmath.log(2))))
+    assert bd._refuse_unprintable(ivl.exact_pow2(2 * n, 64), Fraction(-k * k, n)) is None
 
 
 def test_general_exponent_matches_defining_sum():

@@ -13,6 +13,7 @@ and review the diff before committing it.
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,15 @@ def _cases() -> dict[str, str]:
             # refused before r^(rs) of 20 and 233 million bits is built
             "usage_bound_generalrs_r1e6.md": "bound 1 GeneralRS --r 1000000",
             "usage_bound_generalrs_r1e7.md": "bound 1 GeneralRS --r 10000000",
+            # refused before exp of an argument of 6,600 bits
+            "usage_bound_shifted_k1e1000.md": f"bound 5 AgievichShifted --k {10**1000}",
+            # an option that the command or the named bound does not read
+            "usage_verify_strict.md": "verify --max-n 3 --strict",
+            "usage_errata_no_timing.md": "errata --no-timing",
+            "usage_table_no_timing.md": "table table1 --no-timing",
+            "usage_bound_sasvari_order4.md": "bound 10 SasvariUpper --order 4",
+            "usage_bound_central_k3.md": "bound 10 AgievichCentral --k 3",
+            "usage_bound_generalrs_k1.md": "bound 10 GeneralRS --k 1",
             # an --out file that cannot be created is not a failed check
             "out_unwritable.md": "bound 5 SasvariUpper --out /nonexistent_dir/x.md",
             # exp of a wide interval at 4 to 16 bits, of a large negative
@@ -192,6 +202,7 @@ def test_consecutive_calls_share_no_state(tmp_path):
 
     assert _run("bound 10 AgievichShifted --k 3".split())[1].startswith("AgievichShifted(n=10, k=3)\n")
     assert _run("bound 10 AgievichShifted".split())[1].startswith("AgievichShifted(n=10, k=0)\n")
+    assert _run("bound 10 AgievichCentral".split())[0] == cli.EXIT_OK
 
     target = tmp_path / "payload"
     argv = CASES["bound_SasvariUpper.md"].split()
@@ -203,7 +214,80 @@ def test_consecutive_calls_share_no_state(tmp_path):
 
 def test_argparse_errors_are_usage_errors():
     for argv in (["table", "table9"], ["bound", "5", "NoSuchBound"], ["verify"], []):
-        assert _run(argv)[0] == cli.EXIT_USAGE
+        code, out, err = _run(argv)
+        assert (code, out, err.count("\n")) == (cli.EXIT_USAGE, "", 1)
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    def options(command):
+        return set(re.findall(r"(?m)^  (--[a-z-]+)", _run([command, "--help"])[1]))
+
+    taken = {command: options(command) for command in ("table", "verify", "bound", "errata")}
+    assert {c for c, opts in taken.items() if "--strict" in opts} == {"table", "bound"}
+    assert {c for c, opts in taken.items() if "--no-timing" in opts} == {"verify"}
+    assert sum(map(len, taken.values())) == 27
+    by_bound = {
+        (name, key)
+        for name, (spec, _) in cli._BOUNDS.items()
+        for key in ("k", "r", "order")
+        if key in spec
+    }
+    assert by_bound == {
+        ("AgievichGeneral", "k"),
+        ("AgievichShifted", "k"),
+        ("CentralOrderN", "order"),
+        ("CatalanOrderN", "order"),
+        ("GeneralRS", "r"),
+        ("GeneralRS", "order"),
+    }
+
+
+def test_bound_arguments_of_any_magnitude_end_with_a_defined_exit_code():
+    """Every bound name, n, k, r, order and digits up to each cap and just
+    past it, and any subset of --k/--r/--order: an option the bound does not
+    take exits 64 with one stderr line; any other input exits 0, 1, 2 or 64,
+    never 70, within a second, at the default precision policy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def magnitude(signed=False):
+        # d * 10**e written out, up to 4,301 digits: one past the longest int() takes
+        m = st.builds(lambda d, e: str(d) + "0" * e, st.integers(1, 9), st.integers(0, 4300))
+        return st.one_of(m, m.map("-".__add__)) if signed else m
+
+    def drawn(usual, edges, wide=None, signed=False):
+        # a usual value, a cap of tests/corner_inputs.txt or a value next to
+        # one, or any magnitude
+        wide = magnitude(signed) if wide is None else wide.map(str)
+        return st.one_of(usual.map(str), st.sampled_from(edges).map(str), wide)
+
+    values = {
+        "k": drawn(st.integers(-100, 100), (3393, 3394, -3394), signed=True),
+        "r": drawn(st.integers(2, 10), (0, 1, 235070, 235071)),
+        "order": drawn(st.integers(1, 4), (0, 5, 10, 11, 20, 21)),
+    }
+    n_edges = (0, 882103, 882104, 1660971, 1660972, 1660981, 1660982, 11921456, 11921457)
+
+    @hypothesis.settings(deadline=1000, derandomize=True, max_examples=200)
+    @hypothesis.given(
+        name=st.sampled_from(list(cli._BOUNDS)),
+        n=drawn(st.integers(1, 10**5), n_edges),
+        digits=drawn(st.integers(1, 30), (0, 4300, 4301), st.integers(1, 4301)),
+        options=st.sets(st.sampled_from(list(values))).flatmap(
+            lambda keys: st.fixed_dictionaries({key: values[key] for key in sorted(keys)})
+        ),
+    )
+    def check(name, n, digits, options):
+        argv = ["bound", n, name, "--digits", digits]
+        for key, value in options.items():
+            argv += [f"--{key}", value]
+        code, out, err = _run(argv)
+        if set(options) - set(cli._BOUNDS[name][0]):
+            assert (code, out, err.count("\n")) == (cli.EXIT_USAGE, "", 1)
+        else:
+            assert code in (cli.EXIT_OK, cli.EXIT_FAILED, cli.EXIT_UNDECIDED, cli.EXIT_USAGE), err
+
+    check()
 
 
 @pytest.mark.parametrize(
@@ -219,10 +303,13 @@ def test_internal_errors_exit_70(monkeypatch, error):
     assert err == f"binomcert: internal error: {type(error).__name__}: boom\n"
 
 
-def _corner_inputs() -> list[tuple[int, str]]:
+def _corner_inputs() -> list:
     lines = (Path(__file__).parent / "corner_inputs.txt").read_text(encoding="utf-8").splitlines()
     return [
-        (int(code), args)
+        # an argv of thousands of digits is named by its start and its length
+        pytest.param(
+            int(code), args, id=f"{code}-{args[:40]}...{len(args)}" if len(args) > 200 else None
+        )
         for code, args in (line.split("\t") for line in lines if line and line[0] != "#")
     ]
 

@@ -132,6 +132,31 @@ def test_central_binomials_iterator():
         list(central_binomials(5, 4))
 
 
+class _CountedInt(int):
+    """An int that counts the multiplications made on it and on what they yield."""
+
+    steps = 0
+
+    def __mul__(self, other):
+        _CountedInt.steps += 1
+        return _CountedInt(int(self) * other)
+
+    def __floordiv__(self, other):
+        return _CountedInt(int(self) // other)
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(5, 5), (5, 8), (300, 303)])
+def test_central_binomials_builds_no_value_past_n_hi(monkeypatch, n_lo, n_hi):
+    # one recurrence step per value after the first; none after the last
+    monkeypatch.setattr(_CountedInt, "steps", 0)
+    monkeypatch.setattr(
+        combinatorics, "central_binomial", lambda n: _CountedInt(math.comb(2 * n, n))
+    )
+    values = list(central_binomials(n_lo, n_hi))
+    assert values == [(n, math.comb(2 * n, n)) for n in range(n_lo, n_hi + 1)]
+    assert _CountedInt.steps == n_hi - n_lo
+
+
 def test_catalan_examples():
     assert catalan(1) == 1
     assert catalan(5) == 42

@@ -32,7 +32,7 @@ from binomcert.interval import (
     scaled_width,
     sqrt,
 )
-from binomcert.interval import _exp_endpoint, _exp_squared, _quotient
+from binomcert.interval import _divmod_short, _exp_endpoint, _exp_squared, _quotient
 from binomcert.bounds import general_exponent
 from helpers import (
     _add,
@@ -846,6 +846,21 @@ def test_round_significant_beyond_int_str_limit():
     s = round_significant(Fraction(12345 * 10**4400 + 1), 3)
     assert s[:3] == "123" and set(s[3:]) == {"0"} and len(s) == 4405
     assert round_significant(Fraction(1, 3 * 10**4400), 3) == "0." + "0" * 4400 + "333"
+
+
+def test_divmod_short_is_divmod():
+    # quotients from none to thousands of bits, divisors of up to 6000 bits,
+    # exact multiples and their neighbours, powers of two and all-ones divisors
+    rng = random.Random(7)
+    for _ in range(20_000):
+        db, qb = rng.randint(1, 6000), rng.randint(0, 3000)
+        den = rng.choice(
+            [rng.getrandbits(db) | 1 << (db - 1), 1 << (db - 1), (1 << db) - 1]
+        )
+        num = rng.getrandbits(db + qb)
+        if rng.random() < 0.3:
+            num = num // den * den + rng.choice([0, 1, den - 1])
+        assert _divmod_short(num, den) == divmod(num, den), (num, den)
 
 
 def test_round_significant_digits_stop_at_int_str_limit():
