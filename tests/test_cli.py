@@ -75,6 +75,15 @@ def _cases() -> dict[str, str]:
             "verify_orders_17_20_starved.md": (
                 f"verify --max-n 3 {ORDERS_17_20} {STARVED} --no-timing"
             ),
+            # warm starts over schedules that are not powers of two: 6, 12,
+            # 24, 40 ends undecided (chained orders fall back to a direct
+            # decision, and the capped last step is taken); 48 .. 400 proves all
+            "verify_schedule_6_40.md": (
+                "verify --max-n 300 --precision-init 6 --precision-max 40 --no-timing"
+            ),
+            "verify_schedule_48_400.md": (
+                "verify --max-n 3000 --precision-init 48 --precision-max 400 --no-timing"
+            ),
             "verify_jobs0.md": "verify --max-n 40 --jobs 0 --no-timing",
             "verify_jobs2.md": "verify --max-n 40 --jobs 2 --no-timing",
             # evidence that cannot be proved is refused, not printed as "?"
