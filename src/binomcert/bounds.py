@@ -107,7 +107,7 @@ def exponent_pair(s: int, r: int, order: int) -> tuple[int, int]:
     Horner sum of the t_j L in s^2 over L s^(2 order - 1).
     """
     if r < 2 or s < 1:
-        raise DomainError("general_exponent: need r >= 2, s >= 1")
+        raise DomainError("exponent_pair: need r >= 2, s >= 1")
     check_series_order(order)
     den, cs = _coefficients(order, r)
     s2, num = s * s, 0
@@ -187,9 +187,13 @@ def agievich_central(n: int, p: int = 64) -> BoundResult:
 
 def agievich_catalan(n: int, p: int = 64) -> BoundResult:
     """Catalan corollary: the central bound divided by (n + 1)."""
-    base = agievich_central(n, p)
-    value = base.value / ivl.from_int(n + 1, p)
-    return BoundResult(base.exponent, value)
+    return _over_n_plus_1(agievich_central(n, p), n, p)
+
+
+def _over_n_plus_1(base: BoundResult, n: int, p: int) -> BoundResult:
+    """A bound on C(2n, n) divided by n + 1: the bound it gives on the
+    Catalan number C(2n, n) / (n + 1), with the same exponent."""
+    return BoundResult(base.exponent, base.value / ivl.from_int(n + 1, p))
 
 
 def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
@@ -240,9 +244,7 @@ def catalan_upper(n: int, order: int, p: int = 64) -> BoundResult:
     """Catalan upper bound: the even-order central bound divided by (n + 1)."""
     if order not in (2, 4):
         raise DomainError("catalan_upper: supported orders are 2 and 4")
-    base = central_upper(n, order, p)
-    value = base.value / ivl.from_int(n + 1, p)
-    return BoundResult(base.exponent, value)
+    return _over_n_plus_1(central_upper(n, order, p), n, p)
 
 
 def general_rs_bound(r: int, s: int, order: int, p: int = 64) -> BoundResult:
@@ -256,12 +258,14 @@ def general_rs_bound(r: int, s: int, order: int, p: int = 64) -> BoundResult:
     so what MAX_GROWTH_BITS bounds is the building of r^(rs) itself: an
     r^(rs) of over that many bits is refused before it is built.  At r = 2
     this is central_upper(s, 2*order).  2*order counts against the series
-    order cap, so order <= 10.
+    order cap, so order <= 10, and it is checked before the growth bits, so
+    an input over both caps is refused for its order.
     """
     if r < 2:
         raise DomainError("general_rs_bound: need r >= 2")
     if s < 1 or order < 1:
         raise DomainError("general_rs_bound: need s >= 1 and order >= 1")
+    check_series_order(2 * order)
     num, den = log2(r).as_integer_ratio()  # an int product: no s overflows it
     bits = r * s * num // den
     if bits > MAX_GROWTH_BITS:
@@ -277,8 +281,8 @@ def central_ratio(n: int, p: int = 64, binom_value: int | None = None) -> Interv
 
     ``binom_value`` lets sweep loops feed an incrementally maintained
     C(2n, n) instead of recomputing it.  After pi * n, each Dyadic step
-    rounds as ``from_int(binom_value) * sqrt(pi(p) * from_int(n)) *
-    exact_pow2(-2n)`` does.
+    rounds as ``from_int(binom_value, p) * sqrt(pi(p) * from_int(n, p)) *
+    exact_pow2(-2n, p)`` does.
     """
     _require_positive(n)
     if binom_value is None:

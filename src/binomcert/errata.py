@@ -116,9 +116,7 @@ def _prefactor_entry(policy: PrecisionPolicy) -> ErrataEntry:
     printed = _render(
         lambda p: _evaluate(exact_pow2(1, p), Fraction(1), 1, d2_at_1, p), 11, policy
     )
-    corrected = _render(
-        lambda p: _evaluate(exact_pow2(2, p), Fraction(1), 1, d2_at_1, p), 11, policy
-    )
+    corrected = _render(lambda p: bd.central_upper(1, 2, p).value, 11, policy)
     return ErrataEntry(
         location="central series-bound display prefactor",
         paper_value="2^n / sqrt(pi n)",

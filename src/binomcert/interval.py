@@ -66,16 +66,13 @@ class Dyadic(NamedTuple):
 
 
 def dyadic(man: int, exp: int = 0) -> Dyadic:
-    return Dyadic(*_norm(man, exp))
-
-
-def _norm(man: int, exp: int) -> tuple[int, int]:
+    """The canonical :class:`Dyadic` of man * 2**exp."""
     if man == 0:
-        return 0, 0
+        return Dyadic(0, 0)
     shift = (man & -man).bit_length() - 1
     if shift:
-        return man >> shift, exp + shift
-    return man, exp
+        return Dyadic(man >> shift, exp + shift)
+    return Dyadic(man, exp)
 
 
 def _cmp(a: Dyadic, b: Dyadic) -> int:
@@ -114,9 +111,9 @@ def _round(man: int, exp: int, p: int, up: bool) -> Dyadic:
     smallest that is >= it when ``up``."""
     drop = man.bit_length() - p
     if drop <= 0 or man == 0:
-        return Dyadic(*_norm(man, exp))
+        return dyadic(man, exp)
     # arithmetic shift floors; negating around it ceils
-    return Dyadic(*_norm(-((-man) >> drop) if up else man >> drop, exp + drop))
+    return dyadic(-((-man) >> drop) if up else man >> drop, exp + drop)
 
 
 def _quotient(num: int, den: int, p: int) -> tuple[int, int, int]:
@@ -294,13 +291,13 @@ def scaled_width(a: IntervalReal, b: IntervalReal) -> float:
     return _dyadic_ratio(wa if _cmp(wa, wb) >= 0 else wb, m)
 
 
-def from_int(i: int, p: int = 53) -> IntervalReal:
+def from_int(i: int, p: int) -> IntervalReal:
     """Zero-width interval holding an exact integer (kept unrounded)."""
     d = dyadic(i)
     return _ordered(d, d, p) if p >= 2 else IntervalReal(d, d, p)  # zero width; p < 2 refused
 
 
-def exact_pow2(e: int, p: int = 53) -> IntervalReal:
+def exact_pow2(e: int, p: int) -> IntervalReal:
     """Zero-width interval holding 2**e exactly, for any sign of e."""
     d = Dyadic(1, e)
     return _ordered(d, d, p) if p >= 2 else IntervalReal(d, d, p)  # zero width; p < 2 refused
@@ -351,7 +348,7 @@ def _sqrt(d: Dyadic, p: int, up: bool) -> Dyadic:
     r = isqrt(n)
     if up and r * r < n:
         r += 1
-    return Dyadic(*_norm(r, f))
+    return dyadic(r, f)
 
 
 def sqrt(a: IntervalReal) -> IntervalReal:
@@ -403,9 +400,7 @@ def pi(p: int) -> IntervalReal:
     l239, h239 = _atan_inv_scaled(239, q)
     # width stays ~2**(-p-8), far under the 2**(-p+2) contract, so endpoints
     # are kept unquantized
-    return IntervalReal(
-        Dyadic(*_norm(4 * (4 * l5 - h239), -q)), Dyadic(*_norm(4 * (4 * h5 - l239), -q)), p
-    )
+    return IntervalReal(dyadic(4 * (4 * l5 - h239), -q), dyadic(4 * (4 * h5 - l239), -q), p)
 
 
 # -- exponential ---------------------------------------------------------------

@@ -23,9 +23,10 @@ exact link holds, D_J < D_top for odd J and D_top < D_J for even J, tested
 by cross-multiplying the integer pairs: exp is monotone, so exp(D_J) <
 exp(D_top) < R(n), or R(n) < exp(D_top) < exp(D_J).  Otherwise, as at small
 n where a high-order series does not yet envelop, the order is decided
-directly, from the policy's first precision.  Each top decision starts at
-the precision where its decision at the previous n stopped (warm start),
-whatever that verdict was.
+directly, from the policy's first precision.  Each top decision escalates
+through a warm start, the :class:`PrecisionPolicy` from the precision where
+its decision at the previous n stopped, whatever that verdict was, to the
+policy's maximum: the same precisions as the policy's own schedule from there.
 
 :func:`run_verify` may run its checks in separate processes, one task per
 check over its whole range, so each report is a sequential run's.  The
@@ -99,20 +100,18 @@ class SweepReport:
             self.failures.append((n, detail))
 
 
-def _decide_less(make_pair, policy: PrecisionPolicy, start: int = 0) -> tuple[str, float, int]:
-    """Escalate precision until a < b is decided, skipping the precisions of
-    ``policy`` below ``start`` (never its last one); report the verdict, the
-    final pair's width and the precision it stopped at."""
+_VERDICTS = {TriState.YES: "proved", TriState.NO: "failed", TriState.UNKNOWN: "undecided"}
+
+
+def _decide_less(make_pair, policy: PrecisionPolicy) -> tuple[str, float, int]:
+    """Escalate precision through ``policy`` until a < b is decided; report
+    the verdict, the final pair's width and the precision it stopped at."""
     for p in policy.precisions():
-        if p < start and p < policy.maximum:
-            continue
         a, b = make_pair(p)
         v = certainly_less(a, b)
-        if v is TriState.YES:
-            return "proved", ivl.scaled_width(a, b), p
-        if v is TriState.NO:
-            return "failed", ivl.scaled_width(a, b), p
-    return "undecided", ivl.scaled_width(a, b), p
+        if v is not TriState.UNKNOWN:
+            break
+    return _VERDICTS[v], ivl.scaled_width(a, b), p
 
 
 def _exact(holds: bool) -> tuple[str, float, int]:
@@ -144,8 +143,8 @@ def sandwich_sweep(
     These are the alternation check's decisions at orders 1 and 2, so the
     report equals ``alternation_sweep(n_lo, n_hi, (1, 2))`` under its own name:
     orders 1 and 2 are each the top order of their parity, so each gets an
-    interval decision at every n, warm-started where its decision at n - 1
-    stopped.
+    interval decision at every n, warm-started by the policy from where its
+    decision at n - 1 stopped.
     """
     return _report("sandwich", n_lo, n_hi, _alternation(n_lo, n_hi, (1, 2), policy))
 
@@ -186,12 +185,12 @@ def alternation_sweep(
     Decided as exp(D_J(n)) < R(n) at odd J and R(n) < exp(D_J(n)) at even J,
     with R(n) built once per n and precision for all the orders.  Only the
     highest odd and the highest even of ``orders`` get interval decisions at
-    each n, each warm-started where its decision at n - 1 stopped.  A
-    lower order J is proved from its top order's proved verdict when the
-    exact link D_J < D_top (odd J) or D_top < D_J (even J) holds, and is
-    decided directly from ``policy.initial`` otherwise; see the module
-    docstring.  The verdicts, failures and their order are those of deciding
-    every order directly.
+    each n, each warm-started by the policy from where its decision at n - 1
+    stopped to ``policy.maximum``.  A lower order J is proved from its top
+    order's proved verdict when the exact link D_J < D_top (odd J) or
+    D_top < D_J (even J) holds, and is decided directly from
+    ``policy.initial`` otherwise; see the module docstring.  The verdicts,
+    failures and their order are those of deciding every order directly.
     """
     return _report("alternation", n_lo, n_hi, _alternation(n_lo, n_hi, orders, policy))
 
@@ -199,15 +198,15 @@ def alternation_sweep(
 def _alternation(n_lo: int, n_hi: int, orders: tuple[int, ...], policy: PrecisionPolicy):
     orders = sorted(set(orders))
     top = {order % 2: order for order in orders}  # the highest order of each parity
-    start = dict.fromkeys(top.values(), policy.initial)  # warm start of each top order
+    warm = dict.fromkeys(top.values(), policy)  # the schedule each top order starts from
     tags = {j: f"lower({j}) !< exact" if j % 2 else f"exact !< upper({j})" for j in orders}
     for n, b in central_binomials(n_lo, n_hi):
         ratio = cache(lambda p, n=n, b=b: bd.central_ratio(n, p, b))  # R(n) per precision
         exponents, decided = {}, {}
         for t in top.values():
             exponents[t] = bd.exponent_pair(n, 2, t)
-            decided[t] = _decide_order(t, exponents[t], ratio, policy, start[t])
-            start[t] = decided[t][2]
+            decided[t] = _decide_order(t, exponents[t], ratio, warm[t])
+            warm[t] = PrecisionPolicy(decided[t][2], policy.maximum)
         for order in orders:
             t = top[order % 2]
             decision = decided[t]
@@ -217,12 +216,12 @@ def _alternation(n_lo: int, n_hi: int, orders: tuple[int, ...], policy: Precisio
                 # D_J < D_top at odd J, D_top < D_J at even J
                 linked = num * t_den < t_num * den if order % 2 else t_num * den < num * t_den
                 if decision[0] != "proved" or not linked:
-                    decision = _decide_order(order, exponent, ratio, policy, policy.initial)
+                    decision = _decide_order(order, exponent, ratio, policy)
             yield n, decision, tags[order]
 
 
 def _decide_order(
-    order: int, exponent: tuple[int, int], ratio, policy: PrecisionPolicy, start: int
+    order: int, exponent: tuple[int, int], ratio, policy: PrecisionPolicy
 ) -> tuple[str, float, int]:
     """exp(D_J(n)) < R(n) at odd J, R(n) < exp(D_J(n)) at even J, from the
     integer pair of D_J(n) and ``ratio(p)``, R(n) at precision p."""
@@ -230,7 +229,7 @@ def _decide_order(
         pair = lambda p: (ivl.exp(ivl.from_rational(exponent, p)), ratio(p))
     else:
         pair = lambda p: (ratio(p), ivl.exp(ivl.from_rational(exponent, p)))
-    return _decide_less(pair, policy, start)
+    return _decide_less(pair, policy)
 
 
 def _ratio_gap(n: int, order: int, b: int, p: int) -> ivl.IntervalReal:

@@ -48,9 +48,9 @@ from binomcert.interval import (
     _dyadic_ratio,
     _exp_endpoint,
     _mul,
-    _norm,
     _round,
     _sub,
+    dyadic,
     exact_pow2,
     from_int,
     pi,
@@ -107,7 +107,7 @@ def is_exact(iv: IntervalReal) -> bool:
 
 def width(iv: IntervalReal) -> Dyadic:
     """hi - lo, exactly."""
-    return Dyadic(*_norm(*_sub(iv.hi, iv.lo)))
+    return dyadic(*_sub(iv.hi, iv.lo))
 
 
 def rel_width(iv: IntervalReal) -> float:
@@ -150,7 +150,7 @@ def _div(a: Dyadic, b: Dyadic, p: int, up: bool) -> Dyadic:
     num, den = a.man << shift, b.man
     if den < 0:
         num, den = -num, -den
-    return Dyadic(*_norm(-((-num) // den) if up else num // den, a.exp - b.exp - shift))
+    return dyadic(-((-num) // den) if up else num // den, a.exp - b.exp - shift)
 
 
 def reference_mul(a: IntervalReal, b: IntervalReal) -> IntervalReal:
@@ -164,14 +164,14 @@ def reference_mul(a: IntervalReal, b: IntervalReal) -> IntervalReal:
     if a.lo == a.hi == one:
         return b if b.prec == p else IntervalReal(b.lo, b.hi, p)
     if b.lo == b.hi:
-        lo = Dyadic(*_norm(*_mul(a.lo, b.lo)))
-        hi = Dyadic(*_norm(*_mul(a.hi, b.lo)))
+        lo = dyadic(*_mul(a.lo, b.lo))
+        hi = dyadic(*_mul(a.hi, b.lo))
         if _cmp(lo, hi) > 0:
             lo, hi = hi, lo
         return IntervalReal(_round(*lo, p, False), _round(*hi, p, True), p)
     if a.lo == a.hi:
         return reference_mul(b, a)
-    cands = [Dyadic(*_norm(*_mul(x, y))) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    cands = [dyadic(*_mul(x, y)) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
     lo = hi = cands[0]
     for c in cands[1:]:
         if _cmp(c, lo) < 0:
@@ -243,7 +243,7 @@ def midpoint_exp(a: IntervalReal) -> IntervalReal:
     multiplies or divides the core enclosure in interval arithmetic.  An input
     too wide for that k takes exp of each endpoint as a point."""
     p = a.prec
-    k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))  # nearest int to 2*mid
+    k = _round_to_int(dyadic(*_add(a.lo, a.hi)))  # nearest int to 2*mid
     half_k = Dyadic(k, -1)
     r_lo = _round(*_sub(a.lo, half_k), p + 16, False)
     r_hi = _round(*_sub(a.hi, half_k), p + 16, True)
@@ -318,7 +318,7 @@ def reference_exp(a: IntervalReal) -> IntervalReal:
     exp(1/2) from :func:`_exp_taylor`: the same midpoint reduction and the
     same roundings, on the reference product and quotient."""
     p = a.prec
-    k = _round_to_int(Dyadic(*_norm(*_add(a.lo, a.hi))))
+    k = _round_to_int(dyadic(*_add(a.lo, a.hi)))
     half_k = Dyadic(k, -1)
     r = IntervalReal(
         _round(*_sub(a.lo, half_k), p + 16, False),
@@ -462,5 +462,5 @@ def hutton_pi(p: int) -> IntervalReal:
     q = p + 16
     l3, h3 = _atan_inv_scaled(3, q)
     l7, h7 = _atan_inv_scaled(7, q)
-    lo, hi = Dyadic(*_norm(4 * (2 * l3 + l7), -q)), Dyadic(*_norm(4 * (2 * h3 + h7), -q))
+    lo, hi = dyadic(4 * (2 * l3 + l7), -q), dyadic(4 * (2 * h3 + h7), -q)
     return IntervalReal(lo, hi, p)

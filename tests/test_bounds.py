@@ -54,6 +54,18 @@ def test_general_rs_order_counts_against_the_cap():
     assert bd.general_rs_bound(3, 5, 10).exponent == bd.general_exponent(5, 3, 20)
 
 
+def test_general_rs_refuses_its_order_before_building_the_growth_factor(monkeypatch):
+    # r^(rs) at the largest accepted s or r takes 0.3-0.6 s to build; an
+    # order past the cap is refused first, also when the growth is past its cap
+    def unbuilt(r, s):
+        raise AssertionError("r^(rs) built for an order past the cap")
+
+    monkeypatch.setattr(bd, "_growth", unbuilt)
+    for r, s in ((3, 882_103), (235_070, 1), (3, 882_104), (10**7, 1)):
+        with pytest.raises(ivl.DomainError, match=r"series order must be in 1\.\.20"):
+            bd.general_rs_bound(r, s, 11)
+
+
 def test_coefficient_double_derivation_through_20():
     # definition route vs simplified closed form, with Bernoulli numbers from
     # an independent oracle
@@ -359,6 +371,14 @@ def test_exponent_pair_is_the_reference_fraction_sum():
         assert bd.general_exponent(s, r, order) == reference_general_exponent(s, r, order)
 
     check()
+
+
+def test_exponent_pair_refuses_r_below_2_and_s_below_1():
+    # the command line never reaches this check: general_rs_bound and the
+    # central bounds refuse such r and n first
+    for s, r in ((1, 1), (0, 2), (-3, 5)):
+        with pytest.raises(ivl.DomainError, match=r"^exponent_pair: need r >= 2, s >= 1$"):
+            bd.exponent_pair(s, r, 1)
 
 
 # -- central ratio ------------------------------------------------------------------

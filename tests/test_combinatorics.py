@@ -58,7 +58,7 @@ def test_binomial_both_sides_of_cutover(monkeypatch):
             assert binomial(n, k) == math.comb(n, k), (n, k)
             kk = min(k, n - k)
             assert bool(factored) == (kc is not None and kk >= kc), (n, k)
-    assert _first_factored_k(399) is None  # C(399, 199) stays on the loop
+    assert _first_factored_k(399) is None  # C(399, 199) stays on math.comb
     assert _first_factored_k(400) == 200
     assert _first_factored_k(100_000) == 1265
 
@@ -117,6 +117,8 @@ def test_central_binomial_examples():
     assert central_binomial(1) == 2
     assert central_binomial(7) == 3432
     assert central_binomial(10_000) == math.comb(20_000, 10_000)
+    with pytest.raises(ValueError, match="central_binomial: n must be >= 0"):
+        central_binomial(-1)
 
 
 def test_central_binomials_iterator():

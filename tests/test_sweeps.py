@@ -1,11 +1,14 @@
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from binomcert import bounds, combinatorics, sweeps
+from binomcert import interval as ivl
 from binomcert.combinatorics import central_binomial
 from binomcert.interval import DEFAULT_POLICY, DomainError, PrecisionPolicy
 from binomcert.sweeps import (
+    SweepReport,
     alternation_sweep,
     dominance_sweep,
     general_r_sweep,
@@ -336,6 +339,17 @@ def test_alternation_restarts_a_top_order_where_it_stopped(monkeypatch):
     assert len(precisions) == 246
 
 
+@pytest.mark.parametrize(
+    "policy", [DEFAULT_POLICY, PrecisionPolicy(6, 40), PrecisionPolicy(48, 400)]
+)
+def test_warm_start_is_the_tail_of_the_schedule(policy):
+    # the warm start of a top order that stopped at p is PrecisionPolicy(p,
+    # maximum): the precisions of the policy's own schedule from p on
+    schedule = list(policy.precisions())
+    for i, p in enumerate(schedule):
+        assert list(PrecisionPolicy(p, policy.maximum).precisions()) == schedule[i:]
+
+
 def test_order_improvement_evaluates_each_gap_once(monkeypatch):
     calls = []
     ratio_gap = sweeps._ratio_gap
@@ -389,3 +403,30 @@ def test_decide_less_measures_the_final_pair_only(monkeypatch):
     assert rep.proved == 398  # 199 exact and 199 interval decisions
     assert len(measured) == 199
     assert max(measured) > 16  # not vacuous: some decisions escalated
+
+
+def test_a_decision_that_comes_back_no_is_reported_failed():
+    # no check of the package meets one: e < 27/10 is undecided at 4 and 8
+    # bits and decided NO at 16, and the report counts it with its tag
+    def pair(p):
+        return ivl.exp(ivl.from_int(1, p)), ivl.from_rational(Fraction(27, 10), p)
+
+    decision = sweeps._decide_less(pair, PrecisionPolicy(4, 64))
+    verdict, width, precision = decision
+    assert (verdict, precision) == ("failed", 16)
+    assert 0 < width < 2**-14
+    rep = sweeps._report("check", 7, 7, [(7, decision, "e !< 27/10")])
+    assert (rep.proved, rep.failed, rep.undecided) == (0, 1, 0)
+    assert rep.failures == [(7, "e !< 27/10")]
+    assert rep.worst_rel_width == width
+
+
+def test_sweep_report_repr_shows_its_fields_only():
+    rep = SweepReport("sandwich", 1, 3)
+    rep.record(2, "undecided", 0.5, "exact !< upper(2)")
+    rep._stash = "a tracer's data"
+    assert repr(rep) == (
+        "SweepReport({'check': 'sandwich', 'n_lo': 1, 'n_hi': 3, 'proved': 0, "
+        "'failed': 0, 'undecided': 1, 'worst_rel_width': 0.5, 'wall_time': 0.0, "
+        "'failures': [(2, 'exact !< upper(2)')]})"
+    )
