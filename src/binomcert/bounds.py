@@ -1,13 +1,13 @@
 """Certified bounds on central binomial coefficients and Catalan numbers.
 
-All bounds here share one shape: an exact power prefactor divided by the
-square root of a multiple of pi, times the exponential of a rational
-exponent.  Exponents are exact: a series exponent is an integer pair over
-one common denominator, and a ``Fraction`` where a bound reports it;
-interval arithmetic enters only through the prefactor (pi, sqrt) and the
-final exp.  That split keeps comparisons that reduce to exponent sign --
-like which of two equal-prefactor bounds is tighter -- provable by pure
-integer arithmetic.
+All bounds here share one shape: a power prefactor divided by the square
+root of a multiple of pi, times the exponential of a rational exponent.
+Exponents are exact: a series exponent is an integer pair over one common
+denominator, and a ``Fraction`` where a bound reports it; interval
+arithmetic enters only through the prefactor (pi, sqrt, and the rounded
+powers of a growth factor other than 4) and the final exp.  That split
+keeps comparisons that reduce to exponent sign -- like which of two
+equal-prefactor bounds is tighter -- provable by pure integer arithmetic.
 
 Families implemented:
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, log2
+from math import lcm
 from typing import NamedTuple
 
 from . import interval as ivl
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 MAX_SERIES_ORDER = 20  # asymptotic series; stay well inside the useful regime
-MAX_GROWTH_BITS = 2**22  # cap on r^(rs) in d_r^(2s): it bounds the cost of building r^(rs)
+MAX_RS_BITS = 64  # cap on bits(r*s): it bounds the cost of the rounded powers of d_r^(2s)
 # exponents with more integer bits are first checked against MAX_DECIMAL_EXPONENT
 # (one of 3,984 bits is refused by exp and the renderer in about 0.4 s on 2 vCPUs)
 _EXP_GATE_BITS = 4096
@@ -206,19 +206,28 @@ def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
     return central_lower(n, 1, p), central_upper(n, 2, p)
 
 
-@lru_cache(maxsize=1)  # a value escalating its precision asks for the same pair again
-def _growth(r: int, s: int) -> tuple[int, int]:
-    """d_r^(2s) = r^(rs) / (r-1)^((r-1)s), in lowest terms: gcd(r, r-1) = 1."""
-    return r ** (r * s), (r - 1) ** ((r - 1) * s)
+def _growth_factor(r: int, s: int, p: int) -> IntervalReal:
+    """Enclosure of d_r^(2s) = r^(rs) / (r-1)^((r-1)s) at precision p.
+
+    At r = 2 it is 4^s, exact.  Otherwise each power b^(bs) is bounded on
+    both sides by :func:`interval._pow` at w = p + bits(rs) + 8 bits, within
+    a factor exp(2**(-p-6)), and the quotients of opposite bounds are rounded
+    outward to p bits: no power grows with r s log2(r)."""
+    if r == 2:
+        return ivl.exact_pow2(2 * s, p)
+    w = p + (r * s).bit_length() + 8
+    power = lambda b, up: ivl._pow(ivl.dyadic(b), b * s, w, up)  # b^(bs)
+    return ivl._ordered(  # lower over upper <= upper over lower, each rounded outward
+        ivl._div(power(r, False), power(r - 1, True), p, False),
+        ivl._div(power(r, True), power(r - 1, False), p, True),
+        p,
+    )
 
 
 def _series_bound(r: int, s: int, order: int, p: int) -> BoundResult:
     """c_r * d_r^(2s) / sqrt(s) * exp(D_order(s, r)): the one body of every
     series bound; at r = 2 it is 4^s / sqrt(pi s) * exp(D_order(s, 2))."""
-    if r == 2:
-        scale = ivl.exact_pow2(2 * s, p)
-    else:
-        scale = ivl.from_rational(_growth(r, s), p)
+    scale = _growth_factor(r, s, p)
     exponent = general_exponent(s, r, order)
     sqrt_scale = Fraction(2 * (r - 1), r)  # 2 * (1 - 1/r); times pi*s under the root
     return BoundResult(exponent, _evaluate(scale, sqrt_scale, s, exponent, p))
@@ -253,25 +262,23 @@ def general_rs_bound(r: int, s: int, order: int, p: int = 64) -> BoundResult:
     Here c_r = 1/sqrt(2 pi (1 - 1/r)) and the growth factor is taken
     Stirling-consistent, d_r^2 = r^r / (r-1)^(r-1) -- the unique choice for
     which the remainder series D converges to the actual log ratio.  Since
-    d_r^2 is rational, d_r^(2s) is carried exactly; no square root of d is
-    ever needed.  Its division costs time linear in the length of r^(rs),
-    so what MAX_GROWTH_BITS bounds is the building of r^(rs) itself: an
-    r^(rs) of over that many bits is refused before it is built.  At r = 2
-    this is central_upper(s, 2*order).  2*order counts against the series
-    order cap, so order <= 10, and it is checked before the growth bits, so
-    an input over both caps is refused for its order.
+    d_r^2 is rational, d_r^(2s) is enclosed by rounded integer powers; no
+    square root of d is ever needed.  Their cost grows with the bits of
+    r*s, which MAX_RS_BITS caps; whether the value can be printed is left
+    to the renderer.  At r = 2 this is central_upper(s, 2*order).  2*order
+    counts against the series order cap, so order <= 10, and it is checked
+    before the bits of r*s, so an input over both caps is refused for its
+    order.
     """
     if r < 2:
         raise DomainError("general_rs_bound: need r >= 2")
     if s < 1 or order < 1:
         raise DomainError("general_rs_bound: need s >= 1 and order >= 1")
     check_series_order(2 * order)
-    num, den = log2(r).as_integer_ratio()  # an int product: no s overflows it
-    bits = r * s * num // den
-    if bits > MAX_GROWTH_BITS:
+    bits = (r * s).bit_length()
+    if bits > MAX_RS_BITS:
         raise DomainError(
-            f"general_rs_bound: r^(rs) has about {ivl._about(bits)} bits, "
-            f"over {MAX_GROWTH_BITS} (MAX_GROWTH_BITS)"
+            f"general_rs_bound: r*s has {bits} bits, over {MAX_RS_BITS} (MAX_RS_BITS)"
         )
     return _series_bound(r, s, 2 * order, p)
 

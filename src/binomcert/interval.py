@@ -14,10 +14,13 @@ differences and comparisons take any sign.
 
 Width contract: each primitive rounds each endpoint outward by at most one
 unit in the last place, and sqrt, exp and pi carry explicit truncation
-bounds (exp's is proved in its docstring), so for the compositions used in
-this package (a few multiplications, one sqrt, one exp of an argument of
-any size) the relative width at working precision p stays below
-2**(-p + 8).  The test suite checks this slack empirically.
+bounds (exp's is proved in its docstring).  The integer power b**e of
+:func:`_pow`, taken at w = p + bits(e) + 8 bits, lies within a factor
+(1 + 2**(1-w))**(2e-2) < exp(2**(-p-6)) of b**e (proved in its docstring).
+So for the compositions used in this package (a few multiplications, one
+sqrt, one exp of an argument of any size, one quotient of two powers) the
+relative width at working precision p stays below 2**(-p + 8).  The test
+suite checks this slack empirically.
 
 Shared state is limited to a per-precision cache of pi and a small cache of
 the powers of five that decimal rendering divides by, whose entries are
@@ -429,15 +432,46 @@ def _exp_endpoint(x: Dyadic, p: int, up: bool) -> Dyadic:
     return _round(acc + slack if up else acc - slack, -w, p, up)
 
 
+def _pow(b: Dyadic, e: int, w: int, up: bool) -> Dyadic:
+    """Dyadic <= b**e, or >= b**e when ``up``, for b > 0 and e >= 1.
+
+    Left-to-right binary powering: for each bit of e after the leading one,
+    a square, then a product by b where the bit is set, each rounded to w
+    bits on the endpoint's side.  The loop keeps a raw (mantissa, exponent)
+    pair and normalises once at the end, to the Dyadic that :func:`_round`
+    at each step gives: rounding to w bits depends only on the value.
+
+    *Claim.* The result lies on its side of b**e, within a factor
+    (1 + u)**(2e - 2), u = 2**(1-w).
+
+    *Proof.* Squaring and multiplying by b are monotone on positive numbers,
+    and each rounding moves away from b**e, so the bound stays on its side.
+    One rounding to w bits is a factor of at most 1 + u.  Let f be the
+    exponent of the bits read so far and (1 + u)**c the factor of the bound
+    on b**f.  At f = 1 the bound is b itself, c = 0.  A square takes (f, c)
+    to (2f, 2c + 1) and a product by b takes it to (f + 1, c + 1), so
+    c <= 2f - 2 holds after each step: 2c + 1 <= 4f - 3 <= 2(2f) - 2, and a
+    product follows a square, whose c <= 4f - 3 gives c + 1 <= 2(2f + 1) - 4.
+    QED  At w >= p + bits(e) + 8, (1 + u)**(2e - 2) < exp(2**(2-w) e)
+    < exp(2**(-p-6)).
+    """
+    man, ex = b
+    for step in bin(e)[3:].replace("1", "01"):  # "0": square, "1": times b
+        fm, fe = (man, ex) if step == "0" else b
+        man, ex = man * fm, ex + fe
+        drop = man.bit_length() - w
+        if drop > 0:  # arithmetic shift floors; negating around it ceils
+            man, ex = -(-man >> drop) if up else man >> drop, ex + drop
+    return dyadic(man, ex)
+
+
 def _exp_squared(x: Dyadic, p: int, up: bool) -> Dyadic:
     """The w-bit bound of :func:`_exp` before its rounding to p bits, within a
     factor exp(2**(-p-5)) of exp(x); the steps and the proof are in :func:`exp`."""
     m = max(0, x.man.bit_length() + x.exp + 1) if x.man else 0  # |x / 2**m| < 1/2
     w = p + m + 8
     y = _exp_endpoint(Dyadic(x.man, x.exp - m), w, up)
-    for _ in range(m):
-        y = _round(*_mul(y, y), w, up)
-    return y
+    return _pow(y, 1 << m, w, up) if m else y  # m = 0, as in most verify decisions: no call
 
 
 def _exp(x: Dyadic, p: int, up: bool) -> Dyadic:
@@ -475,9 +509,10 @@ def exp(a: IntervalReal) -> IntervalReal:
     Taking off (adding) 2k + 2 units and rounding down (up) to p bits gives
     the endpoint.  QED
 
-    The core is taken at w = p + m + 8 bits and squared m times, each
-    square rounded to w bits on the endpoint's side.  Squaring is monotone
-    on positive numbers, so each bound stays on its side, and the enclosure
+    The core is taken at w = p + m + 8 bits and raised to the power 2**m
+    by :func:`_pow`, the package's one squaring chain: m squares, each
+    rounded to w bits on the endpoint's side.  Squaring is monotone on
+    positive numbers, so each bound stays on its side, and the enclosure
     is sound for any |a|.  One rounding to w bits is a factor of at most
     1 + u, u = 2**(1-w), and the core is within (1 + u)**2 of exp(x / 2**m),
     its Taylor slack being far under u.  A factor (1 + u)**c before a

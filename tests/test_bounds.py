@@ -10,10 +10,12 @@ from binomcert import interval as ivl
 from binomcert.combinatorics import catalan, central_binomial
 from binomcert.interval import TriState, certainly_less, from_int, render_significant
 from helpers import (
+    as_fraction as frac,
     assert_encloses,
     bernoulli_akiyama_tanigawa,
     reference_central_ratio,
     reference_general_exponent,
+    rel_width,
     tightness_gap,
 )
 
@@ -55,13 +57,13 @@ def test_general_rs_order_counts_against_the_cap():
 
 
 def test_general_rs_refuses_its_order_before_building_the_growth_factor(monkeypatch):
-    # r^(rs) at the largest accepted s or r takes 0.3-0.6 s to build; an
-    # order past the cap is refused first, also when the growth is past its cap
-    def unbuilt(r, s):
-        raise AssertionError("r^(rs) built for an order past the cap")
+    # an order past the cap is refused before any power of d_r^(2s) is
+    # taken, also when r*s is past its cap
+    def unbuilt(*args):
+        raise AssertionError("a power of the growth factor taken for an order past the cap")
 
-    monkeypatch.setattr(bd, "_growth", unbuilt)
-    for r, s in ((3, 882_103), (235_070, 1), (3, 882_104), (10**7, 1)):
+    monkeypatch.setattr(ivl, "_pow", unbuilt)
+    for r, s in ((3, 1_205_837), (2**64 - 1, 1), (3, 2**64), (2**64, 1)):
         with pytest.raises(ivl.DomainError, match=r"series order must be in 1\.\.20"):
             bd.general_rs_bound(r, s, 11)
 
@@ -264,50 +266,60 @@ def test_general_bound_domain():
         bd.general_rs_bound(3, 5, 0)
 
 
-def test_growth_pair_is_the_reduced_fraction():
-    # r^(rs) / (r-1)^((r-1)s) is in lowest terms, so it encloses d_r^(2s) in
-    # the Dyadics of the reduced Fraction (r^r / (r-1)^(r-1))^s, and the bound
-    # built from it is the one built from that Fraction
+def test_growth_factor_encloses_the_reduced_fraction():
+    # the quotient of rounded powers encloses d_r^(2s) = (r^r / (r-1)^(r-1))^s
+    # within the module's width contract, and the bound is built from it
     for r in range(3, 7):
         growth = Fraction(r**r, (r - 1) ** (r - 1))
         for s in range(1, 201):
-            pair = (r ** (r * s), (r - 1) ** ((r - 1) * s))
             for p in (64, 512):
-                scale = ivl.from_rational(growth**s, p)
-                assert ivl.from_rational(pair, p) == scale
+                scale = bd._growth_factor(r, s, p)
+                assert frac(scale.lo) <= growth**s <= frac(scale.hi), (r, s, p)
+                assert rel_width(scale) < 2.0 ** (-p + 8), (r, s, p)
                 exponent = bd.general_exponent(s, r, 2)
                 composed = bd._evaluate(scale, Fraction(2 * (r - 1), r), s, exponent, p)
                 assert bd.general_rs_bound(r, s, 1, p).value == composed
 
 
+def test_growth_factor_pairs_opposite_bounds_of_its_powers(monkeypatch):
+    # the powers' bounds are far inside a p-bit ulp, so a wrong pairing of
+    # their sides seldom shows above; with each power loosened to within a
+    # factor 1 +- 2^-10 of b^e, only lower over upper and upper over lower
+    # still enclose d_r^(2s)
+    def loose(b, e, w, up):
+        exact = b.man**e << (b.exp * e)
+        return ivl.dyadic(exact * (1024 + 1 if up else 1024 - 1), -10)
+
+    monkeypatch.setattr(ivl, "_pow", loose)
+    for r in range(3, 7):
+        for s in (1, 2, 50):
+            scale = bd._growth_factor(r, s, 64)
+            assert frac(scale.lo) < Fraction(r**r, (r - 1) ** (r - 1)) ** s < frac(scale.hi)
+
+
 def test_general_rs_refuses_a_huge_growth_factor():
-    # about r s log2(r) bits of r^(rs), refused before the power is built
-    bd.general_rs_bound(100_000, 2, 1)  # 3.3 Mbit
-    for r, s in ((100_000, 3), (10**6, 1), (10**7, 1), (3, 882_104)):
-        with pytest.raises(ValueError, match="MAX_GROWTH_BITS"):
+    # the cost of the rounded powers grows with the bits of r*s: 64 bits are
+    # taken at any split of r and s, 65 are refused with the cap's name
+    for r, s in ((2**64 - 1, 1), (3, (2**64 - 1) // 3), (2, 2**63 - 1), (10**6, 1), (10**7, 1)):
+        assert (r * s).bit_length() <= bd.MAX_RS_BITS == 64
+        assert bd.general_rs_bound(r, s, 1).value.lo.man > 0
+    for r, s in ((2**64, 1), (3, (2**64 - 1) // 3 + 1), (2, 2**63), (3, 10**400)):
+        bits = (r * s).bit_length()
+        message = rf"r\*s has {bits} bits, over 64 \(MAX_RS_BITS\)$"
+        with pytest.raises(ivl.DomainError, match=message):
             bd.general_rs_bound(r, s, 1)
 
 
-def test_growth_cap_keeps_every_value_renderable(monkeypatch):
-    # the one size check of GeneralRS: for every r >= 3 with an accepted s,
-    # d_r^(2s) at the largest accepted s has a decimal exponent below the
-    # renderer's cap, so no decimal estimate is needed before the power is
-    # built; raising MAX_GROWTH_BITS past about 5.7 million bits fails here
-    monkeypatch.setattr(bd, "_series_bound", lambda *args: "built")  # check only
-    worst, r = 0.0, 3
-    while True:
-        num, den = math.log2(r).as_integer_ratio()
-        s_max = ((bd.MAX_GROWTH_BITS + 1) * den - 1) // (r * num)  # r s log2(r) <= cap
-        if s_max < 1:
-            break
-        worst = max(worst, s_max * (r * math.log10(r) - (r - 1) * math.log10(r - 1)))
-        if r in (3, 10, 1000, 100_000):
-            assert bd.general_rs_bound(r, s_max, 1) == "built"
-            with pytest.raises(ivl.DomainError, match="MAX_GROWTH_BITS"):
-                bd.general_rs_bound(r, s_max + 1, 1)
-        r += 1
-    assert r > 10**5
-    assert 731_000 < worst < ivl.MAX_DECIMAL_EXPONENT
+def test_general_rs_past_the_decimal_cap_is_refused_by_the_renderer():
+    # no cap of GeneralRS judges the size of d_3^(2s): s = 1,205,837 is built
+    # and the renderer refuses its decimal exponent, as for every bound
+    def render(s):
+        return ivl.render_escalating(lambda p: bd.general_rs_bound(3, s, 1, p).value, 10)
+
+    text = render(1_205_836)  # 9.829400014e1000000, at MAX_DECIMAL_EXPONENT
+    assert (text[:10], len(text)) == ("9829400014", ivl.MAX_DECIMAL_EXPONENT + 1)
+    with pytest.raises(ivl.DomainError, match=r"decimal exponent about 1000001 is outside"):
+        render(1_205_837)
 
 
 def test_unprintable_values_are_refused_before_exp(monkeypatch):

@@ -122,7 +122,7 @@ def _cases() -> dict[str, str]:
             "usage_bound_n1e400.md": f"bound {10**400} SasvariUpper",
             "usage_bound_generalrs_s1e400.md": f"bound {10**400} GeneralRS --r 3",
             "usage_bound_shifted_k1e200.md": f"bound 5 AgievichShifted --k {10**200}",
-            # refused before r^(rs) of 20 and 233 million bits is built
+            # r^(rs) of 20 and 233 million bits, taken as rounded powers
             "usage_bound_generalrs_r1e6.md": "bound 1 GeneralRS --r 1000000",
             "usage_bound_generalrs_r1e7.md": "bound 1 GeneralRS --r 10000000",
             # refused before exp of an argument of 6,600 bits
@@ -272,10 +272,10 @@ def test_bound_arguments_of_any_magnitude_end_with_a_defined_exit_code():
 
     values = {
         "k": drawn(st.integers(-100, 100), (3393, 3394, -3394), signed=True),
-        "r": drawn(st.integers(2, 10), (0, 1, 235070, 235071)),
+        "r": drawn(st.integers(2, 10), (0, 1, 2**64 - 1, 2**64)),
         "order": drawn(st.integers(1, 4), (0, 5, 10, 11, 20, 21)),
     }
-    n_edges = (0, 882103, 882104, 1660971, 1660972, 1660981, 1660982, 11921456, 11921457)
+    n_edges = (0, 1205836, 1205837, 1660971, 1660972, 1660981, 1660982, 11921456, 11921457)
 
     @hypothesis.settings(deadline=1000, derandomize=True, max_examples=200)
     @hypothesis.given(

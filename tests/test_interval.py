@@ -32,7 +32,7 @@ from binomcert.interval import (
     scaled_width,
     sqrt,
 )
-from binomcert.interval import _divmod_short, _exp_endpoint, _exp_squared, _quotient
+from binomcert.interval import _divmod_short, _exp_endpoint, _exp_squared, _pow, _quotient
 from binomcert.bounds import general_exponent
 from helpers import (
     _add,
@@ -176,10 +176,10 @@ def test_quotient_keeps_p_plus_3_or_4_bits_at_any_lengths():
 
 
 def test_quotient_at_the_growth_cap_is_pinned():
-    # r = 4 at the largest s that MAX_GROWTH_BITS accepts: 4^(4s) has 2^22 + 1
-    # bits over a 3^(3s) of about 2.5 million; the Dyadics were recorded from
-    # the division of the whole shifted numerator, about 4 s each on 2 vCPUs
-    s = bd.MAX_GROWTH_BITS // 8
+    # r = 4 at s = 2^22 // 8: 4^(4s) has 2^22 + 1 bits over a 3^(3s) of
+    # about 2.5 million; the Dyadics were recorded from the division of the
+    # whole shifted numerator, about 4 s each on 2 vCPUs
+    s = 2**22 // 8
     num, den = 4 ** (4 * s), 3 ** (3 * s)
     pinned = {
         8: (Dyadic(93, 1701367), Dyadic(187, 1701366)),
@@ -640,6 +640,74 @@ def test_exp_squared_bound_brackets_oracle():
                 assert lo <= y <= hi * slack, (x, p)
             else:
                 assert lo / slack <= y <= hi, (x, p)
+
+    check()
+
+
+def test_pow_bound_brackets_the_exact_power():
+    """The w-bit power at w = p + bits(e) + 8, the width that bounds take it
+    at, lies on its side of b**e and within the proved factor
+    (1 + 2**(1-w))**(2e-2) < exp(2**(-p-6)): exact ints for small e, mpmath
+    for e up to 2**64."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(
+        st.builds(interval.dyadic, st.integers(1, 2**64), st.integers(-70, 0)),
+        st.one_of(st.integers(1, 3000), st.integers(1, 2**64)),
+        st.sampled_from((8, 16, 64, 512)),
+        st.booleans(),
+    )
+    @hypothesis.example(Dyadic(3, 0), 2**64 - 1, 64, False)  # the largest r*s GeneralRS takes
+    @hypothesis.example(Dyadic(1, 0), 2**64, 8, True)  # an exact power
+    def check(b, e, p, up):
+        w = p + e.bit_length() + 8
+        y = _pow(b, e, w, up)
+        if e <= 3000:
+            exact = Fraction(b.man**e) * Fraction(2) ** (b.exp * e)
+            assert (frac(y) >= exact) if up else (frac(y) <= exact), (b, e, p)
+        with mpmath.workprec(3000):
+            power = mpmath.mpf(b.man) ** e * mpmath.ldexp(1, b.exp * e)
+            lo, hi = power * (1 - mpmath.ldexp(1, -2990)), power * (1 + mpmath.ldexp(1, -2990))
+            factor = (1 + mpmath.ldexp(1, 1 - w)) ** (2 * e - 2)
+            assert factor < mpmath.exp(mpmath.ldexp(1, -p - 6))
+            y = mpmath.ldexp(y.man, y.exp)
+            if up:
+                assert lo <= y <= hi * factor, (b, e, p)
+            else:
+                assert lo / factor <= y <= hi, (b, e, p)
+
+    check()
+
+
+def test_exp_brackets_oracle_at_high_precision():
+    """exp at p = 1024 and 4096, where the core and its squarings run at over
+    a thousand bits: the enclosure holds exp(x) and keeps the width
+    contract, and each w-bit bound lies within exp(2**(-p-5)) of exp(x)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def point(draw):
+        e = draw(st.integers(-80, 8))
+        return interval.dyadic(draw(st.integers(1 - 2 ** (22 - e), 2 ** (22 - e) - 1)), e)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(point(), st.sampled_from((1024, 10096)))
+    @hypothesis.example(Dyadic(-2189, 0), 4096)  # 12 squarings
+    def check(x, p):
+        iv = exp(IntervalReal(x, x, p))
+        w = width(iv)
+        assert interval._cmp(Dyadic(w.man, w.exp + p - 2), iv.lo) <= 0, (x, p)
+        with mpmath.workprec(p + 100):
+            e = mpmath.exp(mpmath.ldexp(x.man, x.exp))
+            lo, hi = e * (1 - mpmath.ldexp(1, -p - 90)), e * (1 + mpmath.ldexp(1, -p - 90))
+            slack = mpmath.exp(mpmath.ldexp(1, -p - 5))
+            at = lambda d: mpmath.ldexp(d.man, d.exp)
+            assert at(iv.lo) <= hi and lo <= at(iv.hi), (x, p)
+            assert lo / slack <= at(_exp_squared(x, p, False)) <= hi, (x, p)
+            assert lo <= at(_exp_squared(x, p, True)) <= hi * slack, (x, p)
 
     check()
 

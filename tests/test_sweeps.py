@@ -74,8 +74,9 @@ def test_order_improvement_memory_is_linear():
 
 
 def test_general_r_small():
-    rep = general_r_sweep((3, 4, 5), 12, (1, 2))
-    assert (rep.proved, rep.failed, rep.undecided) == (72, 0, 0)
+    # the growth factor is a quotient of rounded powers: every verdict stays proved
+    rep = general_r_sweep((3, 4, 5), 50, (1, 2))
+    assert (rep.proved, rep.failed, rep.undecided) == (300, 0, 0)
 
 
 def test_run_verify_bundle():
