@@ -40,7 +40,6 @@ from .interval import (
     from_rational,
     pi,
     render_significant,
-    round_significant,
     sqrt,
 )
 from .sweeps import (

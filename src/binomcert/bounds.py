@@ -61,12 +61,6 @@ __all__ = [
 
 MAX_SERIES_ORDER = 20  # asymptotic series; stay well inside the useful regime
 MAX_RS_BITS = 64  # cap on bits(r*s): it bounds the cost of the rounded powers of d_r^(2s)
-# exponents with more integer bits are first checked against MAX_DECIMAL_EXPONENT
-# (one of 3,984 bits is refused by exp and the renderer in about 0.4 s on 2 vCPUs)
-_EXP_GATE_BITS = 4096
-# enclosures [lo, hi] of log10(2) = 0.30102999566398... and log10(e) = 0.43429448190325...
-_LOG10_2 = (Fraction(30102999566, 10**11), Fraction(30102999567, 10**11))
-_LOG10_E = (Fraction(43429448190, 10**11), Fraction(43429448191, 10**11))
 
 
 class BoundResult(NamedTuple):
@@ -129,32 +123,8 @@ def _evaluate(scale: IntervalReal, sqrt_scale: Fraction, n: int, exponent: Fract
     """
     root = ivl.sqrt(ivl.from_rational(sqrt_scale, p) * ivl.pi(p) * ivl.from_int(n, p))
     pref = scale / root
-    _refuse_unprintable(pref, exponent)
+    ivl.refuse_unprintable(pref, exponent)
     return pref * ivl.exp(ivl.from_rational(exponent, p))
-
-
-def _refuse_unprintable(pref: IntervalReal, exponent: Fraction) -> None:
-    """Refuse pref * exp(exponent) before its exp when its decimal exponent is
-    certainly beyond MAX_DECIMAL_EXPONENT, with the renderer's message.
-
-    exp of an argument of b integer bits costs about b^2 log b, so an
-    exponent of over _EXP_GATE_BITS integer bits is judged first, from the
-    exact exponent, the positions of the prefactor's leading bits and the
-    enclosures of log10(2) and log10(e).  Any other value goes to exp and
-    the renderer, which decide it as before.
-    """
-    if abs(exponent.numerator).bit_length() - exponent.denominator.bit_length() <= _EXP_GATE_BITS:
-        return
-    # pref > 0 lies in [2**lo2, 2**hi2): it is a quotient of positive intervals
-    lo2 = pref.lo.man.bit_length() - 1 + pref.lo.exp
-    hi2 = pref.hi.man.bit_length() + pref.hi.exp
-    # log10 of the value, log2(pref) log10(2) + exponent log10(e), lies in [low, high]
-    low = min(lo2 * c for c in _LOG10_2) + min(exponent * c for c in _LOG10_E)
-    high = max(hi2 * c for c in _LOG10_2) + max(exponent * c for c in _LOG10_E)
-    cap = ivl.MAX_DECIMAL_EXPONENT
-    # one decade of margin: a rounding may carry the leading digit into the next
-    if low > cap + 1 or high < -cap - 1:
-        ivl._refuse_exponent((low + high) // 2)
 
 
 def _require_positive(n: int) -> None:
@@ -209,19 +179,12 @@ def sasvari_pair(n: int, p: int = 64) -> tuple[BoundResult, BoundResult]:
 def _growth_factor(r: int, s: int, p: int) -> IntervalReal:
     """Enclosure of d_r^(2s) = r^(rs) / (r-1)^((r-1)s) at precision p.
 
-    At r = 2 it is 4^s, exact.  Otherwise each power b^(bs) is bounded on
-    both sides by :func:`interval._pow` at w = p + bits(rs) + 8 bits, within
-    a factor exp(2**(-p-6)), and the quotients of opposite bounds are rounded
-    outward to p bits: no power grows with r s log2(r)."""
+    At r = 2 it is 4^s, exact.  Otherwise it is the quotient of the two
+    powers of :func:`interval.power`, each within a factor exp(2**(-p-6)) of
+    its value: no power grows with r s log2(r)."""
     if r == 2:
         return ivl.exact_pow2(2 * s, p)
-    w = p + (r * s).bit_length() + 8
-    power = lambda b, up: ivl._pow(ivl.dyadic(b), b * s, w, up)  # b^(bs)
-    return ivl._ordered(  # lower over upper <= upper over lower, each rounded outward
-        ivl._div(power(r, False), power(r - 1, True), p, False),
-        ivl._div(power(r, True), power(r - 1, False), p, True),
-        p,
-    )
+    return ivl.power(r, r * s, p) / ivl.power(r - 1, (r - 1) * s, p)
 
 
 def _series_bound(r: int, s: int, order: int, p: int) -> BoundResult:

@@ -14,13 +14,13 @@ differences and comparisons take any sign.
 
 Width contract: each primitive rounds each endpoint outward by at most one
 unit in the last place, and sqrt, exp and pi carry explicit truncation
-bounds (exp's is proved in its docstring).  The integer power b**e of
-:func:`_pow`, taken at w = p + bits(e) + 8 bits, lies within a factor
-(1 + 2**(1-w))**(2e-2) < exp(2**(-p-6)) of b**e (proved in its docstring).
-So for the compositions used in this package (a few multiplications, one
-sqrt, one exp of an argument of any size, one quotient of two powers) the
-relative width at working precision p stays below 2**(-p + 8).  The test
-suite checks this slack empirically.
+bounds (exp's is proved in its docstring).  Each endpoint of the integer
+power b**e of :func:`power`, taken by :func:`_pow` at w = p + bits(e) + 8
+bits, lies within a factor (1 + 2**(1-w))**(2e-2) < exp(2**(-p-6)) of b**e
+(proved in :func:`_pow`'s docstring).  So for the compositions used in this
+package (a few multiplications, one sqrt, one exp of an argument of any
+size, one quotient of two powers) the relative width at working precision p
+stays below 2**(-p + 8).  The test suite checks this slack empirically.
 
 Shared state is limited to a per-precision cache of pi and a small cache of
 the powers of five that decimal rendering divides by, whose entries are
@@ -49,11 +49,12 @@ __all__ = [
     "sqrt",
     "exp",
     "pi",
+    "power",
     "certainly_less",
     "scaled_width",
     "render_significant",
     "render_escalating",
-    "round_significant",
+    "refuse_unprintable",
     "MAX_DIGITS",
     "MAX_DECIMAL_EXPONENT",
     "MAX_PRECISION",
@@ -171,7 +172,7 @@ class IntervalReal:
 
     The constructor checks lo <= hi and prec >= 2.  Results ordered by
     construction (of ``-``, ``*``, ``/``, from_rational, from_int,
-    exact_pow2, sqrt and exp) come from the private ``_ordered``, which
+    exact_pow2, power, sqrt and exp) come from the private ``_ordered``, which
     checks neither: its caller guarantees both.
 
     An interval is immutable: setting or deleting a field raises
@@ -465,10 +466,26 @@ def _pow(b: Dyadic, e: int, w: int, up: bool) -> Dyadic:
     return dyadic(man, ex)
 
 
+def power(b: int, e: int, p: int) -> IntervalReal:
+    """Enclosure of b**e, for integers b >= 1 and e >= 1, at precision p.
+
+    Its endpoints are the bounds of :func:`_pow` below and above b**e at
+    w = p + bits(e) + 8 bits, each within a factor exp(2**(-p-6)) of it, so
+    no power grows with e log2(b).  They keep their w bits, as sqrt's keep
+    theirs; the next operation rounds to p."""
+    if b < 1 or e < 1:
+        raise ValueError("power: need b >= 1 and e >= 1")
+    w = p + e.bit_length() + 8
+    d = dyadic(b)
+    return _ordered(_pow(d, e, w, False), _pow(d, e, w, True), p)  # below <= above
+
+
 def _exp_squared(x: Dyadic, p: int, up: bool) -> Dyadic:
     """The w-bit bound of :func:`_exp` before its rounding to p bits, within a
     factor exp(2**(-p-5)) of exp(x); the steps and the proof are in :func:`exp`."""
     m = max(0, x.man.bit_length() + x.exp + 1) if x.man else 0  # |x / 2**m| < 1/2
+    if p >= 1024 and x.man:  # about sqrt(p) more halvings shorten the Taylor sum
+        m += 3 * isqrt(p) // 4
     w = p + m + 8
     y = _exp_endpoint(Dyadic(x.man, x.exp - m), w, up)
     return _pow(y, 1 << m, w, up) if m else y  # m = 0, as in most verify decisions: no call
@@ -487,8 +504,11 @@ def exp(a: IntervalReal) -> IntervalReal:
     endpoint x.  Argument reduction halves and squares (Brent & Zimmermann,
     *Modern Computer Arithmetic*, section 4.3): with m the least integer
     >= 0 for which |x / 2**m| < 1/2, m = 0 at x = 0 and for |x| < 1/2,
-    exp(x) = exp(x / 2**m)**(2**m).  The core exp(x / 2**m) is one
-    fixed-point Taylor sum (ibid., ch. 4):
+    exp(x) = exp(x / 2**m)**(2**m).  The proof below holds for any m above
+    that least one too, because w grows with m, so at p >= 1024 a nonzero x
+    takes 3 isqrt(p) // 4 more halvings: at p = 16384 and x = -7/13 the
+    Taylor sum then has 160 terms, not 1,494 (ibid., section 4.3).  The core
+    exp(x / 2**m) is one fixed-point Taylor sum (ibid., ch. 4):
 
     *Claim.* For |x| <= 1/2, :func:`_exp_endpoint` returns a dyadic below
     exp(x), or above it when ``up``.
@@ -571,6 +591,12 @@ MAX_DIGITS = 4300  # Python's default int-to-str digit limit (sys.int_info)
 MAX_DECIMAL_EXPONENT = 10**6  # |e| cap: a plain rendering stays under ~10**6 characters
 # the float log10(2) as an exact ratio: an int product overflows at no size
 _LOG10_2_NUM, _LOG10_2_DEN = _math.log10(2).as_integer_ratio()
+# exponents with more integer bits are first checked against MAX_DECIMAL_EXPONENT
+# (one of 3,984 bits is refused by exp and the renderer in about 0.4 s on 2 vCPUs)
+_EXP_GATE_BITS = 4096
+# enclosures [lo, hi] of log10(2) = 0.30102999566398... and log10(e) = 0.43429448190325...
+_LOG10_2 = (Fraction(30102999566, 10**11), Fraction(30102999567, 10**11))
+_LOG10_E = (Fraction(43429448190, 10**11), Fraction(43429448191, 10**11))
 
 
 @lru_cache(maxsize=4)  # an interval's two endpoints nearly always share k
@@ -578,30 +604,36 @@ def _pow5(k: int) -> int:
     return 5**k
 
 
-def _round_scaled(num: int, shift: int, den: int, digits: int) -> str:
-    """Round num * 2**shift / den (den > 0) half to even to ``digits``
-    significant digits, in plain integers; see :func:`round_significant`."""
+def _round_scaled(num: int, shift: int, digits: int) -> str:
+    """Round num * 2**shift half to even to ``digits`` significant digits.
+
+    The work is in plain integers.  Writing 10**k = 5**k * 2**k turns the
+    division by the ulp into one power of five and a bit shift, so one
+    ``divmod`` gives a quotient of about ``digits`` digits, and a step on
+    that quotient corrects the exponent estimated from ``bit_length``.  Only
+    those digits are converted to a string, so magnitudes beyond Python's
+    int-to-str digit limit are fine, but ``digits`` itself may not exceed
+    that limit, :data:`MAX_DIGITS`."""
     if digits < 1:
-        raise DomainError("round_significant: digits must be >= 1")
+        raise DomainError("render_significant: digits must be >= 1")
     if digits > MAX_DIGITS:
         raise DomainError(
-            f"round_significant: digits must be <= {MAX_DIGITS}, "
+            f"render_significant: digits must be <= {MAX_DIGITS}, "
             "Python's int-to-str conversion limit"
         )
     if num == 0:
         return "0"
     if num < 0:
-        return "-" + _round_scaled(-num, shift, den, digits)
+        return "-" + _round_scaled(-num, shift, digits)
     # log2 of the value is within one of this bit count, so e is within one of
     # the decimal exponent of its leading digit
-    e = (num.bit_length() - den.bit_length() + shift) * _LOG10_2_NUM // _LOG10_2_DEN
+    e = (num.bit_length() - 1 + shift) * _LOG10_2_NUM // _LOG10_2_DEN
     if e - 1 > MAX_DECIMAL_EXPONENT or e + 2 < -MAX_DECIMAL_EXPONENT:
         _refuse_exponent(e)  # before any power is built
-    # value / 10**k = num * 2**(shift - k) / (den * 5**k), with k the ulp's exponent
+    # value / 10**k = num * 2**(shift - k) / 5**k, with k the ulp's exponent
     k = e - digits + 1
-    if k >= 0:
-        den *= _pow5(k)
-    else:
+    den = _pow5(k) if k >= 0 else 1
+    if k < 0:
         num *= _pow5(-k)
     if shift >= k:
         num <<= shift - k
@@ -660,62 +692,63 @@ def _about(x: int) -> str:
 
 def _refuse_exponent(e: int) -> None:
     raise DomainError(
-        f"round_significant: decimal exponent about {_about(e)} is outside "
+        f"render_significant: decimal exponent about {_about(e)} is outside "
         f"-{MAX_DECIMAL_EXPONENT}..{MAX_DECIMAL_EXPONENT} (MAX_DECIMAL_EXPONENT)"
     )
 
 
-def round_significant(x: Fraction, digits: int) -> str:
-    """Exact round-half-even rendering of a rational to ``digits`` significant
-    digits, e.g. 14 digits of 42.0000203957... -> '42.000020395749'.
+def refuse_unprintable(pref: IntervalReal, exponent: Fraction) -> None:
+    """Refuse pref * exp(exponent), pref > 0, before its exp when its decimal
+    exponent is certainly beyond MAX_DECIMAL_EXPONENT, with the message of
+    :func:`render_significant`.
 
-    The result is the multiple of ``ulp = 10**(e - digits + 1)`` nearest to
-    ``x``, where ``e`` is the decimal exponent of the leading digit of that
-    result (a carry into a new decade raises ``e`` by one, as in 999.96 ->
-    '1000' at 3 digits).  An integer rendering pads with zeros, so the string
-    alone does not show its precision: '12300' is 12345 at 3 digits (ulp 100),
-    and a reader must take the ulp from ``digits`` and ``e``, not from the
-    trailing zeros.
-
-    The work is in plain integers.  ``e`` is estimated from ``bit_length``
-    and is within one of the truth.  Writing 10**k = 5**k * 2**k turns the
-    division by the ulp into one power of five and a bit shift, so one
-    ``divmod`` gives a quotient of about ``digits`` digits, and a step on that
-    quotient corrects ``e``.  Only those ``digits`` leading digits are ever
-    converted to a string, so magnitudes beyond Python's int-to-str digit
-    limit are fine, but ``digits`` itself may not exceed that limit,
-    :data:`MAX_DIGITS`.  A value whose ``|e|`` exceeds
-    :data:`MAX_DECIMAL_EXPONENT` would print as a string of over a million
-    characters and is refused with :class:`DomainError`, judged from the
-    estimate before any power is built.
+    exp of an argument of b integer bits costs about b^2 log b, so an
+    exponent of over _EXP_GATE_BITS integer bits is judged first, from the
+    exact exponent, the positions of the prefactor's leading bits and the
+    enclosures of log10(2) and log10(e).  Any other value goes to exp and
+    the renderer, which decide it as before.
     """
-    return _round_scaled(x.numerator, 0, x.denominator, digits)
+    if abs(exponent.numerator).bit_length() - exponent.denominator.bit_length() <= _EXP_GATE_BITS:
+        return
+    # pref > 0 lies in [2**lo2, 2**hi2)
+    lo2 = pref.lo.man.bit_length() - 1 + pref.lo.exp
+    hi2 = pref.hi.man.bit_length() + pref.hi.exp
+    # log10 of the value, log2(pref) log10(2) + exponent log10(e), lies in [low, high]
+    low = min(lo2 * c for c in _LOG10_2) + min(exponent * c for c in _LOG10_E)
+    high = max(hi2 * c for c in _LOG10_2) + max(exponent * c for c in _LOG10_E)
+    cap = MAX_DECIMAL_EXPONENT
+    # one decade of margin: a rounding may carry the leading digit into the next
+    if low > cap + 1 or high < -cap - 1:
+        _refuse_exponent((low + high) // 2)
 
 
 def render_significant(iv: IntervalReal, digits: int) -> str:
-    """Print an interval to ``digits`` significant digits, round-half-even.
+    """Print an interval to ``digits`` significant digits, round-half-even,
+    e.g. 14 digits of 42.0000203957... -> '42.000020395749'.
 
     Refuses with :class:`NeedsMorePrecision` unless both endpoints round to
     the same string ``s``.  That guarantees the contract the tables rest on:
     with ``v`` the value of ``s`` and ``ulp = 10**(e - digits + 1)``, ``e``
     the decimal exponent of the leading digit of ``v``, the slab
-    ``[v - ulp/2, v + ulp/2]`` contains the whole interval.  The ulp must be
-    taken from ``digits``: an integer rendering such as '12300' at 3 digits
-    has ulp 100, which its trailing zeros do not tell (see
-    :func:`round_significant`).
+    ``[v - ulp/2, v + ulp/2]`` contains the whole interval.  A carry into a
+    new decade raises ``e`` by one, as in 999.96 -> '1000' at 3 digits.  An
+    integer rendering pads with zeros, so the string alone does not show its
+    precision: '12300' is 12345 at 3 digits (ulp 100), and a reader must
+    take the ulp from ``digits`` and ``e``, not from the trailing zeros.
 
     Each endpoint man * 2**exp is rounded from its mantissa and exponent as
-    they stand, by the integer route of :func:`round_significant`, with no
+    they stand, by the integer route of :func:`_round_scaled`, with no
     ``Fraction`` of the whole magnitude.  :class:`DomainError` refuses digit
     counts outside 1..:data:`MAX_DIGITS` and endpoints whose decimal
-    exponent is beyond :data:`MAX_DECIMAL_EXPONENT`.
+    exponent is beyond :data:`MAX_DECIMAL_EXPONENT`: such a value would print
+    as a string of over a million characters.
     """
     if iv.lo.man == 0 and iv.hi.man == 0:
         return "0"
     if iv.lo.man <= 0 <= iv.hi.man:
         raise NeedsMorePrecision("interval straddles zero; no leading digit")
-    lo_s = _round_scaled(iv.lo.man, iv.lo.exp, 1, digits)
-    hi_s = _round_scaled(iv.hi.man, iv.hi.exp, 1, digits)
+    lo_s = _round_scaled(iv.lo.man, iv.lo.exp, digits)
+    hi_s = _round_scaled(iv.hi.man, iv.hi.exp, digits)
     if lo_s != hi_s:
         raise NeedsMorePrecision(
             f"interval spans [{lo_s}, {hi_s}] at {digits} significant digits"

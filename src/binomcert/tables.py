@@ -22,7 +22,6 @@ __all__ = [
     "TABLE_IDS",
     "TABLE_DIGITS",
     "TABLE_COLUMNS",
-    "KNOWN_MISMATCHES",
     "UNDETERMINED",
     "Cell",
     "TableRow",
@@ -88,9 +87,6 @@ _TABLE3 = {
 }
 
 _EXPECTED = {"table1": _TABLE1, "table2": _TABLE2, "table3": _TABLE3}
-
-# Cells whose published string is known not to survive recomputation.
-KNOWN_MISMATCHES = {("table1", 5, "agievich_central")}
 
 
 class Cell(NamedTuple):

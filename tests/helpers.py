@@ -341,9 +341,9 @@ def reference_exp(a: IntervalReal) -> IntervalReal:
 
 def reference_round_significant(x: Fraction, digits: int) -> str:
     """Round-half-even rendering of a rational to ``digits`` significant
-    digits, by exact ``Fraction`` arithmetic: the route
-    ``interval.round_significant`` took before its integer-only core
-    (quadratic in the digit count of ``x``)."""
+    digits, by exact ``Fraction`` arithmetic: the route the package's
+    renderer took before its integer-only core (quadratic in the digit count
+    of ``x``)."""
     if x == 0:
         return "0"
     if x < 0:

@@ -343,7 +343,7 @@ def test_unprintable_values_are_refused_before_exp(monkeypatch):
     # near 10^-632, so the value is left to exp and the renderer
     with mpmath.workdps(1400):
         k = int(mpmath.floor(n * mpmath.sqrt(2 * mpmath.log(2))))
-    assert bd._refuse_unprintable(ivl.exact_pow2(2 * n, 64), Fraction(-k * k, n)) is None
+    assert ivl.refuse_unprintable(ivl.exact_pow2(2 * n, 64), Fraction(-k * k, n)) is None
 
 
 def test_general_exponent_matches_defining_sum():

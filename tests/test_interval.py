@@ -27,8 +27,8 @@ from binomcert.interval import (
     UNDETERMINED,
     pi,
     render_escalating,
+    power,
     render_significant,
-    round_significant,
     scaled_width,
     sqrt,
 )
@@ -681,10 +681,30 @@ def test_pow_bound_brackets_the_exact_power():
     check()
 
 
+def test_power_encloses_the_exact_power():
+    # both bounds of _pow, each within exp(2**(-p-6)) of b**e, so the width is
+    # under 2**(-p-4) of the value, well inside the module's 2**(-p+8); small
+    # powers are exact points
+    for p in (64, 512):
+        for b in range(3, 11):
+            for e in range(1, 3001):
+                iv = power(b, e, p)
+                exact = interval.dyadic(b**e)
+                assert interval._cmp(iv.lo, exact) <= 0 <= interval._cmp(iv.hi, exact), (b, e, p)
+                w = width(iv)
+                assert interval._cmp(Dyadic(w.man, w.exp + p + 4), iv.lo) < 0, (b, e, p)
+                assert iv.prec == p
+    assert power(3, 5, 64) == from_int(243, 64)
+    for b, e in ((0, 1), (3, 0)):
+        with pytest.raises(ValueError):
+            power(b, e, 64)
+
+
 def test_exp_brackets_oracle_at_high_precision():
-    """exp at p = 1024 and 4096, where the core and its squarings run at over
-    a thousand bits: the enclosure holds exp(x) and keeps the width
-    contract, and each w-bit bound lies within exp(2**(-p-5)) of exp(x)."""
+    """exp at p = 1024 to 16384, where the core and its squarings run at over
+    a thousand bits and the argument takes about sqrt(p) extra halvings: the
+    enclosure holds exp(x) and keeps the width contract, and each w-bit bound
+    lies within exp(2**(-p-5)) of exp(x)."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -694,8 +714,9 @@ def test_exp_brackets_oracle_at_high_precision():
         return interval.dyadic(draw(st.integers(1 - 2 ** (22 - e), 2 ** (22 - e) - 1)), e)
 
     @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(point(), st.sampled_from((1024, 10096)))
-    @hypothesis.example(Dyadic(-2189, 0), 4096)  # 12 squarings
+    @hypothesis.given(point(), st.sampled_from((1024, 4096, 10096, 16384)))
+    @hypothesis.example(Dyadic(-2189, 0), 4096)  # 13 squarings, and 48 more
+    @hypothesis.example(Dyadic(-7, 0), 16384)  # 4 squarings, and 96 more
     def check(x, p):
         iv = exp(IntervalReal(x, x, p))
         w = width(iv)
@@ -877,16 +898,27 @@ def test_cmp_orders_exponent_gaps_without_shifting(gap):
 # -- rendering --------------------------------------------------------------------
 
 
-def test_round_significant_basics():
-    assert round_significant(Fraction(1, 3), 10) == "0.3333333333"
-    assert round_significant(Fraction(2), 1) == "2"
-    assert round_significant(Fraction(-1, 3), 4) == "-0.3333"
-    assert round_significant(Fraction(12345), 3) == "12300"
-    assert round_significant(Fraction(9999, 10), 3) == "1000"
-    assert round_significant(Fraction(0), 5) == "0"
+def _point(d: Dyadic) -> IntervalReal:
+    return IntervalReal(d, d, 64)
 
 
-def test_round_significant_half_even_ties():
+def test_render_significant_basics():
+    third = Dyadic(5461, -14)  # 0.33331298828125
+    for d, digits, expected in [
+        (third, 10, "0.3333129883"),
+        (Dyadic(2, 0), 1, "2"),
+        (Dyadic(-5461, -14), 4, "-0.3333"),
+        (Dyadic(12345, 0), 3, "12300"),
+        (Dyadic(15999, -4), 3, "1000"),  # 999.9375: a carry into a new decade
+        (Dyadic(0, 0), 5, "0"),
+    ]:
+        assert reference_round_significant(frac(d), digits) == expected
+        assert render_significant(_point(d), digits) == expected
+    # an interval whose endpoints round alike prints as its points do
+    assert render_significant(from_rational(Fraction(1, 3), 64), 10) == "0.3333333333"
+
+
+def test_render_significant_half_even_ties():
     for x, digits, expected in [
         (Fraction(1, 8), 2, "0.12"),  # 0.125 -> even neighbor
         (Fraction(3, 8), 2, "0.38"),  # 0.375 -> even neighbor
@@ -894,10 +926,9 @@ def test_round_significant_half_even_ties():
         (Fraction(35, 10), 1, "4"),
     ]:
         assert reference_round_significant(x, digits) == expected
-        assert round_significant(x, digits) == expected
-        assert round_significant(-x, digits) == "-" + expected
-        # the ties are dyadic, so the interval route sees them exactly
+        # the ties are dyadic, so from_rational gives the exact point
         assert render_significant(from_rational(x, 64), digits) == expected
+        assert render_significant(from_rational(-x, 64), digits) == "-" + expected
 
 
 def test_render_refuses_wide_interval():
@@ -907,13 +938,16 @@ def test_render_refuses_wide_interval():
         render_significant(IntervalReal(Dyadic(-1, -8), Dyadic(1, -8), 16), 3)
 
 
-def test_round_significant_beyond_int_str_limit():
+def test_render_significant_beyond_int_str_limit():
     # magnitudes past Python's 4300-digit int-to-str limit; the string is
     # checked by its leading digits and length, since Fraction(s) would hit
     # that limit too
-    s = round_significant(Fraction(12345 * 10**4400 + 1), 3)
+    s = render_significant(from_int(12345 * 10**4400 + 1, 64), 3)
     assert s[:3] == "123" and set(s[3:]) == {"0"} and len(s) == 4405
-    assert round_significant(Fraction(1, 3 * 10**4400), 3) == "0." + "0" * 4400 + "333"
+    # each 64-bit endpoint next to 1/(3 * 10**4400) prints alone as the whole does
+    tiny = from_rational(Fraction(1, 3 * 10**4400), 64)
+    for iv in (tiny, _point(tiny.lo), _point(tiny.hi)):
+        assert render_significant(iv, 3) == "0." + "0" * 4400 + "333"
 
 
 def test_divmod_short_is_divmod():
@@ -931,13 +965,16 @@ def test_divmod_short_is_divmod():
         assert _divmod_short(num, den) == divmod(num, den), (num, den)
 
 
-def test_round_significant_digits_stop_at_int_str_limit():
+def test_render_significant_digits_stop_at_int_str_limit():
     # every printed digit passes through one int-to-str conversion, so the
-    # digit count is capped at Python's limit rather than failing inside it
+    # digit count is capped at Python's limit rather than failing inside it;
+    # 1/3 at MAX_PRECISION bits is narrow enough for MAX_DIGITS digits
     assert MAX_DIGITS == 4300
-    assert round_significant(Fraction(1, 3), MAX_DIGITS) == "0." + "3" * MAX_DIGITS
+    third = from_rational(Fraction(1, 3), MAX_PRECISION)
+    for iv in (third, _point(third.lo), _point(third.hi)):
+        assert render_significant(iv, MAX_DIGITS) == "0." + "3" * MAX_DIGITS
     with pytest.raises(ValueError, match="4300"):
-        round_significant(Fraction(1, 3), MAX_DIGITS + 1)
+        render_significant(_point(third.lo), MAX_DIGITS + 1)
 
 
 def printed_ulp(s: str, digits: int) -> Fraction:
@@ -971,10 +1008,6 @@ def test_render_escalating_retries_until_digits_are_proved():
 # -- integer rendering against the Fraction reference route ------------------------
 
 
-def _point(d: Dyadic) -> IntervalReal:
-    return IntervalReal(d, d, 64)
-
-
 def test_render_agrees_with_reference_route():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -997,21 +1030,38 @@ def test_render_agrees_with_reference_route():
         st.integers(1, 60),
     )
     def fractions(num, den, digits):
+        # a proved rendering of the 256-bit enclosure of x is x's own; a
+        # refusal means its endpoints round apart
         x = Fraction(num, den)
-        assert round_significant(x, digits) == reference_round_significant(x, digits)
+        iv = from_rational(x, 256)
+        try:
+            s = render_significant(iv, digits)
+        except NeedsMorePrecision:
+            lo = reference_round_significant(frac(iv.lo), digits)
+            assert lo != reference_round_significant(frac(iv.hi), digits), (x, digits)
+        else:
+            assert s == reference_round_significant(x, digits), (x, digits)
 
     dyadics()
     fractions()
 
 
 def test_render_powers_of_ten_and_neighbours():
-    # next to a power of ten the bit_length estimate of e is off by one either way
+    # next to a power of ten the bit_length estimate of e is off by one
+    # either way: the dyadics next to 10**k on grids of 2 to 400 bits, and
+    # 10**k +- 2**-m where 10**k is an integer
     for k in range(-40, 41):
         ten = Fraction(10) ** k
-        near = [ten + sign * Fraction(1, 2**m) for sign in (1, -1) for m in (1, 20, 140, 400)]
-        for x in (ten, *near):
+        grids = [from_rational(ten, p) for p in (2, 20, 140, 400)]
+        near = [d for iv in grids for d in (iv.lo, iv.hi)]
+        if k >= 0:
+            near += [
+                interval.dyadic(10**k * 2**m + sign, -m) for sign in (1, -1) for m in (1, 20, 140, 400)
+            ]
+        for d in near:
             for digits in (1, 2, 7, 20):
-                assert round_significant(x, digits) == reference_round_significant(x, digits)
+                expected = reference_round_significant(frac(d), digits)
+                assert render_significant(_point(d), digits) == expected, (d, digits)
 
 
 def test_render_large_bound_matches_reference():
@@ -1045,11 +1095,15 @@ def test_render_refuses_exponents_beyond_the_cap(monkeypatch):
     cap = MAX_DECIMAL_EXPONENT
     assert cap == 10**6
     # |e| = cap still prints in full, a carry up to e = -cap included
-    assert round_significant(Fraction(10**cap), 2) == "1" + "0" * cap
-    assert round_significant(Fraction(99996, 10 ** (cap + 5)), 3) == "0." + "0" * (cap - 1) + "100"
-    for x in (Fraction(10 ** (cap + 1)), Fraction(1, 10 ** (cap + 1))):
+    assert render_significant(from_int(10**cap, 64), 2) == "1" + "0" * cap
+    near = from_rational(Fraction(99996, 10 ** (cap + 5)), 64)  # 9.9996e-(cap + 1)
+    for d in (near.lo, near.hi):
+        assert render_significant(_point(d), 3) == "0." + "0" * (cap - 1) + "100"
+    # just past the cap: 10**(cap + 1), and the dyadic just above 10**-(cap + 1)
+    above = from_rational(Fraction(1, 10 ** (cap + 1)), 64).hi
+    for iv in (from_int(10 ** (cap + 1), 64), _point(above)):
         with pytest.raises(ValueError, match="MAX_DECIMAL_EXPONENT"):
-            round_significant(x, 3)
+            render_significant(iv, 3)
 
     # far outside, the estimate refuses before any power of five is built
     def no_power(k):
@@ -1128,9 +1182,9 @@ def test_input_checks_raise_domain_errors_and_contract_checks_do_not():
     for refused in (
         lambda: PrecisionPolicy(1, 64),
         lambda: PrecisionPolicy(64, MAX_PRECISION + 1),
-        lambda: round_significant(Fraction(1, 3), 0),
-        lambda: round_significant(Fraction(1, 3), MAX_DIGITS + 1),
-        lambda: round_significant(Fraction(10) ** (MAX_DECIMAL_EXPONENT + 1), 3),
+        lambda: render_significant(from_int(1, 64), 0),
+        lambda: render_significant(from_int(1, 64), MAX_DIGITS + 1),
+        lambda: render_significant(from_int(10 ** (MAX_DECIMAL_EXPONENT + 1), 64), 3),
     ):
         with pytest.raises(DomainError):
             refused()

@@ -2,12 +2,14 @@ import pytest
 
 from binomcert.interval import PrecisionPolicy
 from binomcert.tables import (
-    KNOWN_MISMATCHES,
     TABLE_COLUMNS,
     TABLE_DIGITS,
     UNDETERMINED,
     build_table,
 )
+
+# the one published cell that does not survive recomputation (see the errata)
+KNOWN_MISMATCHES = {("table1", 5, "agievich_central")}
 
 
 @pytest.mark.parametrize("table_id", ["table1", "table2", "table3"])
