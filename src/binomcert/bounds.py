@@ -115,13 +115,14 @@ def general_exponent(s: int, r: int, order: int) -> Fraction:
     return Fraction(*exponent_pair(s, r, order))
 
 
-def _evaluate(scale: IntervalReal, sqrt_scale: Fraction, n: int, exponent: Fraction, p: int) -> IntervalReal:
-    """scale / sqrt(sqrt_scale * pi * n) * exp(exponent), containment-sound.
+def _evaluate(scale: IntervalReal, radicand: Fraction, exponent: Fraction, p: int) -> IntervalReal:
+    """scale / sqrt(radicand * pi) * exp(exponent), containment-sound.
 
     One shared expression tree for every bound family, so that algebraically
-    identical bounds produce bit-identical intervals.
+    identical bounds produce bit-identical intervals: the radicand is one
+    exact ``Fraction``, rounded at most once, in its product with pi.
     """
-    root = ivl.sqrt(ivl.from_rational(sqrt_scale, p) * ivl.pi(p) * ivl.from_int(n, p))
+    root = ivl.sqrt(ivl.from_rational(radicand, p) * ivl.pi(p))
     pref = scale / root
     ivl.refuse_unprintable(pref, exponent)
     return pref * ivl.exp(ivl.from_rational(exponent, p))
@@ -138,7 +139,7 @@ def agievich_general(n: int, k: int, p: int = 64) -> BoundResult:
     if not 0 <= k <= n:
         raise DomainError("agievich_general: need 0 <= k <= n")
     exponent = Fraction(-((2 * k - n) ** 2), 2 * n) + Fraction(23, 18 * n)
-    value = _evaluate(ivl.exact_pow2(n, p), Fraction(1, 2), n, exponent, p)
+    value = _evaluate(ivl.exact_pow2(n, p), Fraction(n, 2), exponent, p)
     return BoundResult(exponent, value)
 
 
@@ -146,7 +147,7 @@ def agievich_shifted(n: int, k: int, p: int = 64) -> BoundResult:
     """Recentered form bounding C(2n, n+k): 4^n / sqrt(pi n) * exp(-k^2/n + 23/(36n))."""
     _require_positive(n)
     exponent = Fraction(-(k * k), n) + Fraction(23, 36 * n)
-    value = _evaluate(ivl.exact_pow2(2 * n, p), Fraction(1), n, exponent, p)
+    value = _evaluate(ivl.exact_pow2(2 * n, p), Fraction(n), exponent, p)
     return BoundResult(exponent, value)
 
 
@@ -192,8 +193,8 @@ def _series_bound(r: int, s: int, order: int, p: int) -> BoundResult:
     series bound; at r = 2 it is 4^s / sqrt(pi s) * exp(D_order(s, 2))."""
     scale = _growth_factor(r, s, p)
     exponent = general_exponent(s, r, order)
-    sqrt_scale = Fraction(2 * (r - 1), r)  # 2 * (1 - 1/r); times pi*s under the root
-    return BoundResult(exponent, _evaluate(scale, sqrt_scale, s, exponent, p))
+    radicand = Fraction(2 * (r - 1) * s, r)  # 2 (1 - 1/r) s; times pi under the root
+    return BoundResult(exponent, _evaluate(scale, radicand, exponent, p))
 
 
 def central_upper(n: int, order: int, p: int = 64) -> BoundResult:

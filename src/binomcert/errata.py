@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import bounds as bd
-from .bounds import _evaluate
 from .combinatorics import bernoulli, binomial, central_binomial
 from .interval import (
     DEFAULT_POLICY,
@@ -20,7 +19,7 @@ from .interval import (
     NeedsMorePrecision,
     PrecisionPolicy,
     exact_pow2,
-    from_int,
+    from_rational,
     render_escalating,
 )
 
@@ -80,21 +79,18 @@ def _simplified_series_entry() -> ErrataEntry:
 def _growth_factor_entry(policy: PrecisionPolicy) -> ErrataEntry:
     r, s = 3, 5
     exact = binomial(r * s, s)
-    exponent = bd.general_exponent(s, r, 2)
-    corrected = _render(lambda p: bd.general_rs_bound(r, s, 1, p).value, 12, policy)
-    # literal d_3 = (3-1)/(1-1/3) = 3 under the bound's squared-growth convention
-    literal_sq = _render(
-        lambda p: _evaluate(from_int(9**s, p), Fraction(2 * (r - 1), r), s, exponent, p),
-        12,
-        policy,
-    )
-    # same literal value under the single-power growth convention of the
-    # original statement this display corrects
-    literal_single = _render(
-        lambda p: _evaluate(from_int(3**s, p), Fraction(2 * (r - 1), r), s, exponent, p),
-        12,
-        policy,
-    )
+
+    def times(factor: Fraction) -> str:  # the corrected bound times an exact factor
+        return _render(
+            lambda p: bd.general_rs_bound(r, s, 1, p).value * from_rational(factor, p), 12, policy
+        )
+
+    corrected = times(Fraction(1))
+    # the literal d_3 = (3-1)/(1-1/3) = 3 against the corrected d_3^2 = 27/4:
+    # 9^s = (4/3)^s (27/4)^s under the bound's d^(2s), and 3^s = (4/9)^s (27/4)^s
+    # under the d^s of the original statement this display corrects
+    literal_sq, literal_single = times(Fraction(4, 3) ** s), times(Fraction(4, 9) ** s)
+    gap = _render(lambda p: from_rational(Fraction(4, 3) ** s, p), 3, policy)
     return ErrataEntry(
         location="general-bound growth factor d_r",
         paper_value="d_r = (r-1)/(1-1/r)  [= r; d_3 = 3]",
@@ -103,7 +99,7 @@ def _growth_factor_entry(policy: PrecisionPolicy) -> ErrataEntry:
         evidence=(
             f"at r=3, s=5: C(15,5) = {exact}; corrected growth factor gives the bound "
             f"{corrected} (holds, sharp); the printed d_3 = 3 gives "
-            f"{literal_sq} under d^(2s) -- valid but 4.21x the exact value, a gap growing "
+            f"{literal_sq} under d^(2s) -- valid but {gap}x the exact value, a gap growing "
             f"like (4/3)^s, which contradicts the remainder-series construction that "
             f"defines the exponent; under the original d^s convention it gives "
             f"{literal_single} < {exact}, violating the bound outright"
@@ -112,11 +108,9 @@ def _growth_factor_entry(policy: PrecisionPolicy) -> ErrataEntry:
 
 
 def _prefactor_entry(policy: PrecisionPolicy) -> ErrataEntry:
-    d2_at_1 = bd.general_exponent(1, 2, 2)
-    printed = _render(
-        lambda p: _evaluate(exact_pow2(1, p), Fraction(1), 1, d2_at_1, p), 11, policy
-    )
     corrected = _render(lambda p: bd.central_upper(1, 2, p).value, 11, policy)
+    # the printed 2^n is the corrected 2^(2n) times 2^-n, 2^-1 at n = 1
+    printed = _render(lambda p: bd.central_upper(1, 2, p).value * exact_pow2(-1, p), 11, policy)
     return ErrataEntry(
         location="central series-bound display prefactor",
         paper_value="2^n / sqrt(pi n)",

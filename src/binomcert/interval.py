@@ -18,9 +18,12 @@ bounds (exp's is proved in its docstring).  Each endpoint of the integer
 power b**e of :func:`power`, taken by :func:`_pow` at w = p + bits(e) + 8
 bits, lies within a factor (1 + 2**(1-w))**(2e-2) < exp(2**(-p-6)) of b**e
 (proved in :func:`_pow`'s docstring).  So for the compositions used in this
-package (a few multiplications, one sqrt, one exp of an argument of any
-size, one quotient of two powers) the relative width at working precision p
-stays below 2**(-p + 8).  The test suite checks this slack empirically.
+package (a few multiplications, one sqrt, one exp of an exact argument of
+any size, one quotient of two powers) the relative width at working
+precision p stays below 2**(-p + 8).  An argument x rounded to p bits
+before exp, as a bound's exponent is, adds up to one p-bit ulp of x, a
+relative 2**(1-p) |x|, so a bound's relative width stays below
+2**(-p + 8) (1 + |x|).  The test suite checks this slack empirically.
 
 Shared state is limited to a per-precision cache of pi and a small cache of
 the powers of five that decimal rendering divides by, whose entries are
@@ -379,17 +382,20 @@ def _atan_inv_scaled(x: int, q: int) -> tuple[int, int]:
     Alternating series sum (-1)^i / ((2i+1) x^(2i+1)): the truncation error
     is bounded by the first omitted term, and every floor-divided term is off
     by less than one unit, so the total slack is terms + tail + 1 units.
+    Each term is floor(floor(2**q / x^(2i+1)) / (2i+1)) = floor(2**q /
+    ((2i+1) x^(2i+1))), the running quotient divided by x^2 once per term:
+    short divisions, none by a power of x as long as 2**q.
     """
     acc = 0
     xx = x * x
-    pw = x  # x^(2i+1)
+    quot = (1 << q) // x  # floor(2**q / x^(2i+1))
     i = 0
     while True:
-        term = (1 << q) // ((2 * i + 1) * pw)
+        term = quot // (2 * i + 1)
         if term == 0:
             break
         acc += -term if i & 1 else term
-        pw *= xx
+        quot //= xx
         i += 1
     slack = i + 1  # i floor errors, tail < 1 unit
     return acc - slack, acc + slack
@@ -605,7 +611,7 @@ def _pow5(k: int) -> int:
 
 
 def _round_scaled(num: int, shift: int, digits: int) -> str:
-    """Round num * 2**shift half to even to ``digits`` significant digits.
+    """Round num * 2**shift, num != 0, half to even to ``digits`` significant digits.
 
     The work is in plain integers.  Writing 10**k = 5**k * 2**k turns the
     division by the ulp into one power of five and a bit shift, so one
@@ -621,8 +627,6 @@ def _round_scaled(num: int, shift: int, digits: int) -> str:
             f"render_significant: digits must be <= {MAX_DIGITS}, "
             "Python's int-to-str conversion limit"
         )
-    if num == 0:
-        return "0"
     if num < 0:
         return "-" + _round_scaled(-num, shift, digits)
     # log2 of the value is within one of this bit count, so e is within one of

@@ -23,8 +23,11 @@ integer exponent pair replaced, :func:`reference_central_ratio`, the
 composed interval route that ``central_ratio``'s Dyadic steps replaced,
 :func:`reference_scaled_width`, which normalises the widths it compares,
 :func:`tightness_gap`, the ``Fraction`` exponent gap that ``dominance_sweep``
-decides as an integer test, and :func:`hutton_pi`, a second arctan series
-for pi to check ``interval.pi`` against.
+decides as an integer test, :func:`hutton_pi`, a second arctan series
+for pi to check ``interval.pi`` against, and
+:func:`reference_atan_inv_scaled`, the arctan sum that divided 2**q by the
+whole (2i+1) x^(2i+1) for each term, where ``interval`` now divides a
+running quotient by small integers.
 
 The interval inspections only tests use are plain functions here:
 :func:`as_fraction` of a ``Dyadic``, and :func:`width`, :func:`rel_width`,
@@ -464,3 +467,20 @@ def hutton_pi(p: int) -> IntervalReal:
     l7, h7 = _atan_inv_scaled(7, q)
     lo, hi = dyadic(4 * (2 * l3 + l7), -q), dyadic(4 * (2 * h3 + h7), -q)
     return IntervalReal(lo, hi, p)
+
+
+def reference_atan_inv_scaled(x: int, q: int) -> tuple[int, int]:
+    """``interval._atan_inv_scaled`` before its short divisions: each term
+    floor(2**q / ((2i+1) x^(2i+1))) is one division of 2**q by the whole
+    denominator, with the same slack of terms + tail + 1 units."""
+    acc = 0
+    pw = x  # x^(2i+1)
+    i = 0
+    while True:
+        term = (1 << q) // ((2 * i + 1) * pw)
+        if term == 0:
+            break
+        acc += -term if i & 1 else term
+        pw *= x * x
+        i += 1
+    return acc - (i + 1), acc + (i + 1)

@@ -149,6 +149,85 @@ def test_agievich_general_symmetry():
     assert a.exponent == b.exponent and a.value == b.value
 
 
+def test_agievich_general_at_even_n_is_the_shifted_bound():
+    # at n = 2m, k = m + j the Gaussian form is the recentred one term by
+    # term: 2^(2m) / sqrt(pi m) exp(-j^2/m + 23/(36m)); both pass the
+    # radicand m as one exact Fraction, so they share every Dyadic
+    for p in (64, 512):
+        for m in range(1, 60):
+            for j in range(-m, m + 1):
+                general = bd.agievich_general(2 * m, m + j, p)
+                assert general == bd.agievich_shifted(m, j, p), (m, j, p)
+
+
+def _assert_encloses_formula(res, formula, p: int) -> None:
+    """res.value holds the value of ``formula()``, taken by mpmath at p + 96
+    bits (an exponent near -1000 costs it about 10 of them), and is within
+    the width contract of a bound: 2^(-p+8) (1 + |exponent|), the exponent
+    being rounded to p bits before exp."""
+    iv = res.value
+    with mpmath.workprec(p + 96):  # the p-bit endpoints are exact here
+        ref, slack = formula(), mpmath.ldexp(1, -p - 64)
+        assert mpmath.ldexp(iv.lo.man, iv.lo.exp) <= ref * (1 + slack)
+        assert ref * (1 - slack) <= mpmath.ldexp(iv.hi.man, iv.hi.exp)
+    assert rel_width(iv) < 2.0 ** (-p + 8) * (1 + abs(res.exponent))
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def test_agievich_general_encloses_its_formula():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 2000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.sampled_from((64, 512)),
+    )
+    @hypothesis.example((1, 0), 64)
+    @hypothesis.example((3, 1), 512)
+    @hypothesis.example((2000, 0), 512)
+    @hypothesis.example((1999, 1000), 64)
+    def check(nk, p):
+        n, k = nk
+        exponent = -Fraction(2, n) * (k - Fraction(n, 2)) ** 2 + Fraction(23, 18 * n)
+        _assert_encloses_formula(
+            bd.agievich_general(n, k, p),
+            lambda: mpmath.mpf(2) ** n / mpmath.sqrt(mpmath.pi * n / 2) * mpmath.exp(_mp(exponent)),
+            p,
+        )
+
+    check()
+
+
+def test_general_rs_at_r_3_and_above_encloses_its_formula():
+    # c_r d_r^(2s) / sqrt(s) exp(D_2N(s, r)), c_r = 1/sqrt(2 pi (1 - 1/r)) and
+    # d_r^2 = r^r / (r-1)^(r-1), with the exponent as the reference Fraction sum
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        st.integers(3, 6), st.integers(1, 200), st.integers(1, 10), st.sampled_from((64, 512))
+    )
+    @hypothesis.example(3, 5, 1, 64)
+    @hypothesis.example(6, 200, 1, 512)
+    @hypothesis.example(3, 1, 10, 512)
+    def check(r, s, order, p):
+        exponent = reference_general_exponent(s, r, 2 * order)
+        growth = Fraction(r**r, (r - 1) ** (r - 1)) ** s
+
+        def formula():
+            root = mpmath.sqrt(2 * mpmath.pi * (1 - mpmath.mpf(1) / r) * s)
+            return _mp(growth) / root * mpmath.exp(_mp(exponent))
+
+        _assert_encloses_formula(bd.general_rs_bound(r, s, order, p), formula, p)
+
+    check()
+
+
 def test_agievich_general_domain():
     with pytest.raises(ValueError):
         bd.agievich_general(0, 0)
@@ -277,7 +356,7 @@ def test_growth_factor_encloses_the_reduced_fraction():
                 assert frac(scale.lo) <= growth**s <= frac(scale.hi), (r, s, p)
                 assert rel_width(scale) < 2.0 ** (-p + 8), (r, s, p)
                 exponent = bd.general_exponent(s, r, 2)
-                composed = bd._evaluate(scale, Fraction(2 * (r - 1), r), s, exponent, p)
+                composed = bd._evaluate(scale, Fraction(2 * (r - 1) * s, r), exponent, p)
                 assert bd.general_rs_bound(r, s, 1, p).value == composed
 
 

@@ -32,7 +32,14 @@ from binomcert.interval import (
     scaled_width,
     sqrt,
 )
-from binomcert.interval import _divmod_short, _exp_endpoint, _exp_squared, _pow, _quotient
+from binomcert.interval import (
+    _atan_inv_scaled,
+    _divmod_short,
+    _exp_endpoint,
+    _exp_squared,
+    _pow,
+    _quotient,
+)
 from binomcert.bounds import general_exponent
 from helpers import (
     _add,
@@ -43,7 +50,9 @@ from helpers import (
     hutton_pi,  # a second, structurally different pi series
     is_exact,
     midpoint_exp,
+    mpf_to_fraction,
     oracle_bracket,
+    reference_atan_inv_scaled,
     reference_div,
     reference_exp,
     reference_mul,
@@ -844,6 +853,25 @@ def test_pi_two_formulas_overlap_to_256():
         a = pi(p)
         b = hutton_pi(p)
         assert frac(a.lo) <= frac(b.hi) and frac(b.lo) <= frac(a.hi), p
+
+
+def test_atan_terms_by_short_division_are_the_reference_terms():
+    # floor(floor(a/b)/c) = floor(a/(bc)): the running quotient gives every
+    # term, the stop index and the slack of the whole-denominator sum; the q
+    # are pi's own, p + 16, from p = 2 to 16384
+    for q in (18, 80, 144, 272, 528, 1040, 4112, 16400):
+        for x in (5, 239):
+            assert _atan_inv_scaled(x, q) == reference_atan_inv_scaled(x, q), (x, q)
+
+
+@pytest.mark.parametrize("p", [1024, 4096, 16384])
+def test_pi_brackets_oracle_at_high_precision(p):
+    iv = pi(p)
+    assert frac(iv.hi) - frac(iv.lo) <= Fraction(4, 2**p)
+    with mpmath.workprec(p + 64):
+        ref = mpf_to_fraction(+mpmath.pi)
+    slack = Fraction(4, 2 ** (p + 64))  # mpmath's pi is rounded to p + 64 bits
+    assert frac(iv.lo) <= ref + slack and ref - slack <= frac(iv.hi)
 
 
 def test_pi_requires_sane_precision():
