@@ -3,11 +3,18 @@
 Everything in this module is exact -- Python ints and ``fractions.Fraction``,
 never floats -- so these values double as ground truth for the certified
 bound comparisons elsewhere in the package.
+
+The per-process caches hold exact values only: the table of primes that
+:func:`binomial` factors over, the last C(2n, n) that
+:func:`central_binomial` built, and the even Bernoulli numbers.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import comb, isqrt, prod
 from typing import Iterator
@@ -29,21 +36,23 @@ def binomial(n: int, k: int) -> int:
     * Small k -- ``math.comb``.
     * Large k -- Legendre's formula: the exponent of a prime p in C(n, k) is
       sum_{i>=1} (floor(n/p^i) - floor(k/p^i) - floor((n-k)/p^i)), each term
-      0 or 1 (the carries when adding k and n - k in base p).  A bytearray
-      sieve lists the primes <= n and a balanced product tree multiplies the
-      nonzero prime powers, so the big multiplies are few and balanced.  Its
-      cost is about that of iterating the ~n/ln n primes, nearly flat in k.
+      0 or 1 (the carries when adding k and n - k in base p).  The primes
+      <= n are read from a per-process table (see :func:`_primes_upto`) as
+      three slices, and a balanced product tree multiplies the nonzero prime
+      powers, so the big multiplies are few and balanced.  Its cost is about
+      that of iterating the ~n/ln n primes, nearly flat in k.
 
     The factored route is taken when k >= 200 and k**2 >= 16 n.  That rule
     was fitted against the small route before ``math.comb``, the loop
     C(n, i) = C(n, i-1) (n-k+i) / i, which ``math.comb`` beats 2-20x below
     the cutover (CPython 3.11.7, 2 vCPUs, best of 5: C(41, 20) 0.09 us
     against 1.7 us, C(399, 199) 13 us against 26 us, C(1000, 100) 3.3 us
-    against 16 us).  Against ``math.comb`` the routes tie at k of about
-    600-700 for C(2k, k), and between k**2 = 100 n and 200 n for k much
-    smaller than n (n = 10**4 and 10**5), so a re-fit would move the cutover
-    up; the rule is kept as it stands.  C(2*10**4, 10**4) takes 0.8 ms
-    factored.
+    against 16 us).  With the prime table filled, the routes tie against
+    ``math.comb`` at k of about 250-300 for C(2k, k), and between k**2 =
+    20 n and 40 n for k much smaller than n (n = 10**4 and 10**5), so a
+    re-fit would move the cutover only a little; the rule is kept as it
+    stands.  C(2*10**4, 10**4) takes 0.3 ms factored, and C(4.4*10**4,
+    2.2*10**4) 0.9 ms.
     """
     if n < 0:
         raise ValueError("binomial: n must be >= 0")
@@ -55,18 +64,39 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+_PRIMES: tuple[int, array] = (1, array("Q"))  # (limit, primes <= limit); see _primes_upto()
+
+
+def _primes_upto(n: int) -> array:
+    """The per-process prime table, first extended to cover n.
+
+    ``_PRIMES`` is (limit, every prime <= limit), rebound whole and never
+    mutated.  When n passes the limit, a bytearray sieve runs again to
+    max(n, 2 limit), so a rising run of n sieves O(log n) times.
+    """
+    global _PRIMES
+    limit, primes = _PRIMES
+    if n > limit:
+        limit = max(n, 2 * limit)
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[:2] = bytes(2)
+        for p in range(2, isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        primes = array("Q", compress(range(limit + 1), sieve))
+        _PRIMES = limit, primes
+    return primes
+
+
 def _binomial_factored(n: int, k: int) -> int:
     """C(n, k) for 0 <= k <= n - k, as a product of Legendre prime powers."""
     m = n - k
     r = isqrt(n)
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = bytes(2)  # 0 and 1 (for n = 0 this appends a byte never read)
-    for p in range(2, r + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    primes = _primes_upto(n)
+    i_r, i_half, i_m, i_n = (bisect_right(primes, x) for x in (r, min(m, n // 2), m, n))
     # primes in (m, n] divide C(n, k) exactly once; those in (n/2, m] not at all
-    factors = list(compress(range(m + 1, n + 1), sieve[m + 1 :]))
-    for p in compress(range(r + 1), sieve[: r + 1]):
+    factors = primes[i_m:i_n].tolist()
+    for p in primes[:i_r]:
         pe = 1
         q = p
         while q <= n:
@@ -76,11 +106,7 @@ def _binomial_factored(n: int, k: int) -> int:
         if pe > 1:
             factors.append(pe)
     # primes in (sqrt n, min(m, n/2)] have only the i = 1 term
-    lo, hi = r + 1, min(m, n // 2)
-    factors += [
-        p for p in compress(range(lo, hi + 1), sieve[lo : hi + 1])
-        if n // p - k // p - m // p
-    ]
+    factors += [p for p in primes[i_r:i_half] if n // p - k // p - m // p]
     return _product(factors, 0, len(factors))
 
 
@@ -92,8 +118,15 @@ def _product(xs: list[int], lo: int, hi: int) -> int:
     return _product(xs, lo, mid) * _product(xs, mid, hi)
 
 
+@lru_cache(maxsize=1)
 def central_binomial(n: int) -> int:
-    """C(2n, n), the middle entry of row 2n of Pascal's triangle."""
+    """C(2n, n), the middle entry of row 2n of Pascal's triangle.
+
+    The last value is kept (``lru_cache(maxsize=1)``): the sweeps of one
+    window start at the same n, and so do repeated ``central_ratio(n, p)``
+    calls at one n across precisions.  One entry of about 2n bits is all
+    that consecutive callers at one n need.
+    """
     if n < 0:
         raise ValueError("central_binomial: n must be >= 0")
     return binomial(2 * n, n)
@@ -103,9 +136,10 @@ def central_binomials(n_lo: int, n_hi: int) -> Iterator[tuple[int, int]]:
     """Yield (n, C(2n, n)) for n_lo <= n <= n_hi by the ratio recurrence.
 
     C(2n+2, n+1) = C(2n, n) * 2(2n+1) / (n+1), with the division always exact.
-    The first value is a fresh :func:`binomial` call, by the factored route
-    once n_lo >= 200; each later one costs one big-int multiply and one exact
-    division, and none is built past n_hi.
+    The first value is the memoized :func:`central_binomial` (n_lo), built by
+    the factored route once n_lo >= 200 unless it is the value last built;
+    each later one costs one big-int multiply and one exact division, and
+    none is built past n_hi.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("central_binomials: need 0 <= n_lo <= n_hi")

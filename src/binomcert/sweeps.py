@@ -30,11 +30,12 @@ policy's maximum: the same precisions as the policy's own schedule from there.
 
 :func:`run_verify` may run its checks in separate processes, one task per
 check over its whole range, so each report is a sequential run's.  The
-module-level caches (Bernoulli, the series coefficients, pi) are per
-process: a worker fills its own.  The pool class is imported at the first
-fan-out, not with this module: ``sweeps.ProcessPoolExecutor`` is
-``concurrent.futures.ProcessPoolExecutor`` once read, and it is the
-attribute that tests and the benchmark's tracer replace.
+module-level caches (Bernoulli, the series coefficients, pi, the prime
+table and the last C(2n, n)) are per process: a worker fills its own.  The
+pool class is imported at the first fan-out, not with this module:
+``sweeps.ProcessPoolExecutor`` is ``concurrent.futures.ProcessPoolExecutor``
+once read, and it is the attribute that tests and the benchmark's tracer
+replace.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,109 @@ def test_binomial_factored_route_small_n():
     for n in range(160):
         for k in range(n // 2 + 1):
             assert combinatorics._binomial_factored(n, k) == math.comb(n, k), (n, k)
+
+
+@pytest.fixture
+def fresh_primes(monkeypatch):
+    """Start from an empty prime table; return a reader of its (limit, primes)."""
+    monkeypatch.setattr(combinatorics, "_PRIMES", (1, array("Q")))
+    return lambda: combinatorics._PRIMES
+
+
+def _reference_primes(limit):
+    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_prime_table_serves_n_in_any_order(fresh_primes):
+    ns = [400, 1000, 4_096, 10_007, 20_000, 33_333]
+    for order in (ns[::-1], ns, [10_007] * 3, ns[::-1]):
+        for n in order:
+            for k in (_first_factored_k(n), n // 3, n // 2):
+                assert binomial(n, k) == math.comb(n, k), (n, k)
+
+
+def test_prime_table_at_and_one_past_its_limit(fresh_primes):
+    assert combinatorics._primes_upto(1000) is fresh_primes()[1]
+    assert fresh_primes()[0] == 1000
+    assert list(fresh_primes()[1]) == _reference_primes(1000)
+    # at the limit: no sieve, the same table
+    assert binomial(1000, 500) == math.comb(1000, 500)
+    assert fresh_primes()[0] == 1000
+    # one past it: sieved again to twice the limit
+    assert binomial(1001, 500) == math.comb(1001, 500)
+    assert fresh_primes()[0] == 2000
+    assert list(fresh_primes()[1]) == _reference_primes(2000)
+
+
+def test_prime_table_at_a_prime_just_above_its_limit(fresh_primes):
+    # a prime n divides C(n, k) once; at 4001 (over twice the limit) the
+    # table is sieved to n itself, so n is its top prime
+    assert binomial(1000, 400) == math.comb(1000, 400)
+    for n, new_limit in ((1009, 2000), (4001, 4001), (4003, 8002)):
+        assert n > fresh_primes()[0]
+        assert binomial(n, n // 2) == math.comb(n, n // 2), n
+        assert fresh_primes()[0] == new_limit
+        assert list(fresh_primes()[1]) == _reference_primes(new_limit)
+
+
+def test_prime_table_sieves_log_many_times_on_a_rising_run(fresh_primes):
+    limits = []
+    for n in range(400, 50_001, 97):
+        k = _first_factored_k(n)
+        assert binomial(n, k) == math.comb(n, k), n
+        if not limits or fresh_primes()[0] != limits[-1]:
+            limits.append(fresh_primes()[0])
+    assert len(limits) <= math.ceil(math.log2(50_000 / 400)) + 1, limits
+    table = fresh_primes()[1]
+    assert isinstance(table, array) and table.typecode == "Q"
+
+
+def test_prime_table_property_over_a_sequence_of_calls(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    factored_nk = st.integers(400, 60_000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(_first_factored_k(n), n - _first_factored_k(n)))
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.lists(factored_nk, min_size=1, max_size=5))
+    def check(calls):
+        monkeypatch.setattr(combinatorics, "_PRIMES", (1, array("Q")))
+        for n, k in calls:  # served in draw order, each against the table the last left
+            assert binomial(n, k) == math.comb(n, k), (n, k)
+
+    check()
+
+
+def test_central_binomial_keeps_only_the_last_value(monkeypatch):
+    built = []
+    real = combinatorics._binomial_factored
+
+    def recording(n, k):
+        built.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(combinatorics, "_binomial_factored", recording)
+    central_binomial.cache_clear()
+    assert central_binomial.cache_info().maxsize == 1
+    expected = math.comb(20_014, 10_007)
+    assert central_binomial(10_007) == expected
+    assert central_binomial(10_007) == expected
+    assert built == [(20_014, 10_007)]
+    assert central_binomial(10_008) == math.comb(20_016, 10_008)
+    assert central_binomial(10_007) == expected
+    assert built == [(20_014, 10_007), (20_016, 10_008), (20_014, 10_007)]
+
+
+def test_central_binomial_memo_keeps_its_checks_and_values():
+    central_binomial(10_007)
+    with pytest.raises(ValueError, match="central_binomial: n must be >= 0"):
+        central_binomial(-1)
+    assert central_binomial(10_007) == math.comb(20_014, 10_007)  # a hit
+    assert list(central_binomials(10_007, 10_011)) == [
+        (n, math.comb(2 * n, n)) for n in range(10_007, 10_012)
+    ]
+    assert central_binomial(10_007) == math.comb(20_014, 10_007)
 
 
 def test_binomial_large_values():
