@@ -119,7 +119,7 @@ def _build_parser() -> _Parser:
         default=1,
         metavar="N",
         help="run the verify checks in up to N processes, one per check; "
-        "past 2, the longest check (alternation) bounds the time",
+        "past 2, the longest check bounds the time",
     )
 
     p_bound = sub.add_parser(

@@ -109,18 +109,37 @@ def _sub(a: Dyadic, b: Dyadic) -> tuple[int, int]:
     return (a.man << (a.exp - e)) - (b.man << (b.exp - e)), e
 
 
+def _near(a: Dyadic, b: Dyadic, bits: int) -> Dyadic:
+    """b, or +-2**(t - 1) of b's sign when 0 < |b| < 2**t, t the lower of a's
+    last bit and ``bits`` below a's leading bit.  a != 0 is a multiple of
+    2**t, so a - b and a minus the stand-in lie strictly between the same
+    multiples of 2**t, with no power of two between: they share the leading
+    bit and the floor and ceiling on the grid of their ``bits`` - 1 leading
+    bits, and no integer as wide as the exponent gap is built."""
+    if a.exp - b.exp > bits and a.man and b.man:
+        t = min(a.exp, a.man.bit_length() + a.exp - bits)
+        if b.man.bit_length() + b.exp <= t:
+            return Dyadic(1 if b.man > 0 else -1, t - 1)
+    return b
+
+
 def _mul(a: Dyadic, b: Dyadic) -> tuple[int, int]:
     return a.man * b.man, a.exp + b.exp
+
+
+def _shift(man: int, k: int, up: bool) -> int:
+    """floor(man / 2**k), or the ceiling when ``up``; exact, man << -k, when
+    k <= 0.  The package's one directed shift."""
+    if k <= 0:
+        return man << -k
+    return -(-man >> k) if up else man >> k  # arithmetic shift floors; negating around it ceils
 
 
 def _round(man: int, exp: int, p: int, up: bool) -> Dyadic:
     """Largest dyadic with <= p mantissa bits that is <= man * 2**exp, or the
     smallest that is >= it when ``up``."""
-    drop = man.bit_length() - p
-    if drop <= 0 or man == 0:
-        return dyadic(man, exp)
-    # arithmetic shift floors; negating around it ceils
-    return dyadic(-((-man) >> drop) if up else man >> drop, exp + drop)
+    drop = max(0, man.bit_length() - p)
+    return dyadic(_shift(man, drop, up), exp + drop)
 
 
 def _quotient(num: int, den: int, p: int) -> tuple[int, int, int]:
@@ -173,10 +192,11 @@ class IntervalReal:
 
     ``*`` and ``/`` need lo > 0 on both operands; ``-`` takes any sign.
 
-    The constructor checks lo <= hi and prec >= 2.  Results ordered by
-    construction (of ``-``, ``*``, ``/``, from_rational, from_int,
-    exact_pow2, power, sqrt and exp) come from the private ``_ordered``, which
-    checks neither: its caller guarantees both.
+    The constructor checks lo <= hi and prec >= 2; from_int, exact_pow2,
+    from_rational, power and pi check prec >= 2 before any work.  Results
+    ordered by construction (of ``-``, ``*``, ``/``, from_rational, from_int,
+    exact_pow2, power, sqrt and exp) come from the private ``_ordered``,
+    which checks neither: its caller guarantees both.
 
     An interval is immutable: setting or deleting a field raises
     ``AttributeError``.  Two intervals are equal, and hash equal, when their
@@ -186,8 +206,7 @@ class IntervalReal:
     def __init__(self, lo: Dyadic, hi: Dyadic, prec: int) -> None:
         if _cmp(lo, hi) > 0:
             raise ValueError("IntervalReal: lo > hi")
-        if prec < 2:
-            raise ValueError("IntervalReal: precision must be >= 2")
+        _check_precision(prec)
         self.__dict__.update(lo=lo, hi=hi, prec=prec)  # no __setattr__, as in _ordered
 
     def __setattr__(self, name: str, *value) -> None:
@@ -211,9 +230,10 @@ class IntervalReal:
 
     def __sub__(self, other: "IntervalReal") -> "IntervalReal":
         p = max(self.prec, other.prec)
-        return _ordered(  # lo - other.hi <= hi - other.lo, each rounded outward
-            _round(*_sub(self.lo, other.hi), p, False),
-            _round(*_sub(self.hi, other.lo), p, True),
+        (lo, hi), (olo, ohi) = (self.lo, self.hi), (other.lo, other.hi)
+        return _ordered(  # lo - ohi <= hi - olo, each rounded outward
+            _round(*_sub(_near(ohi, lo, p + 2), _near(lo, ohi, p + 2)), p, False),
+            _round(*_sub(_near(olo, hi, p + 2), _near(hi, olo, p + 2)), p, True),
             p,
         )
 
@@ -237,6 +257,12 @@ class IntervalReal:
 
 
 _ONE = Dyadic(1, 0)
+
+
+def _check_precision(p: int) -> None:
+    """The one precision rule: every interval has p >= 2 bits."""
+    if p < 2:
+        raise ValueError("IntervalReal: precision must be >= 2")
 
 
 def _ordered(lo: Dyadic, hi: Dyadic, p: int) -> IntervalReal:
@@ -269,20 +295,11 @@ def _dyadic_ratio(num: Dyadic, den: Dyadic) -> float:
 
 
 def _width(iv: IntervalReal) -> Dyadic:
-    """hi - lo, to the 53 leading bits that :func:`_dyadic_ratio` reads.
-
-    When hi > 0 and lo != 0 lies below both 2**-64 hi and hi's last bit,
-    lo is replaced by +-2**(t - 1), t the lower of those two positions: the
-    difference then keeps its leading-bit position and its floor at every
-    bit down to 2**t, so the float figure is the same, and no integer as
-    wide as the exponent gap between hi and lo is built.  Exponents at most
-    64 apart cost a short shift and skip the test."""
+    """hi - lo, to the 53 leading bits that :func:`_dyadic_ratio` reads: an
+    endpoint far below the other is replaced by its stand-in from
+    :func:`_near` at 64 bits, which keeps those bits and their floor."""
     lo, hi = iv.lo, iv.hi
-    if hi.exp - lo.exp > 64 and hi.man > 0 and lo.man:
-        t = min(hi.exp, hi.man.bit_length() + hi.exp - 64)
-        if lo.man.bit_length() + lo.exp <= t:
-            lo = Dyadic(1 if lo.man > 0 else -1, t - 1)
-    return Dyadic(*_sub(hi, lo))
+    return Dyadic(*_sub(_near(lo, hi, 64), _near(hi, lo, 64)))
 
 
 def scaled_width(a: IntervalReal, b: IntervalReal) -> float:
@@ -300,14 +317,16 @@ def scaled_width(a: IntervalReal, b: IntervalReal) -> float:
 
 def from_int(i: int, p: int) -> IntervalReal:
     """Zero-width interval holding an exact integer (kept unrounded)."""
+    _check_precision(p)
     d = dyadic(i)
-    return _ordered(d, d, p) if p >= 2 else IntervalReal(d, d, p)  # zero width; p < 2 refused
+    return _ordered(d, d, p)  # zero width
 
 
 def exact_pow2(e: int, p: int) -> IntervalReal:
     """Zero-width interval holding 2**e exactly, for any sign of e."""
+    _check_precision(p)
     d = Dyadic(1, e)
-    return _ordered(d, d, p) if p >= 2 else IntervalReal(d, d, p)  # zero width; p < 2 refused
+    return _ordered(d, d, p)  # zero width
 
 
 def from_rational(q: Fraction | tuple[int, int], p: int) -> IntervalReal:
@@ -318,8 +337,7 @@ def from_rational(q: Fraction | tuple[int, int], p: int) -> IntervalReal:
     one division linear in its length.  A pair is taken without a gcd:
     nested floors and ceilings give the Dyadics of its reduced form, unless
     that is a dyadic of over p bits, which the reduced form keeps."""
-    if p < 2:
-        raise ValueError("IntervalReal: precision must be >= 2")
+    _check_precision(p)
     num, den = q if type(q) is tuple else (q.numerator, q.denominator)
     if den & (den - 1) == 0:  # power of two: exact
         d = dyadic(num, -(den.bit_length() - 1))
@@ -347,11 +365,7 @@ def _sqrt(d: Dyadic, p: int, up: bool) -> Dyadic:
     if d.man == 0:
         return Dyadic(0, 0)
     f = (d.man.bit_length() + d.exp) // 2 - (p + 2)
-    shift = d.exp - 2 * f
-    if shift >= 0:
-        n = d.man << shift
-    else:
-        n = -((-d.man) >> -shift) if up else d.man >> -shift  # ceil or floor
+    n = _shift(d.man, 2 * f - d.exp, up)  # d * 4**-f, floored or ceiled
     r = isqrt(n)
     if up and r * r < n:
         r += 1
@@ -405,6 +419,7 @@ def _atan_inv_scaled(x: int, q: int) -> tuple[int, int]:
 def pi(p: int) -> IntervalReal:
     """Enclosure of pi of width <= 2**(-p+2), from Machin's arctan sum
     pi/4 = 4 atan(1/5) - atan(1/239); cached per precision."""
+    _check_precision(p)
     q = p + 16
     l5, h5 = _atan_inv_scaled(5, q)
     l239, h239 = _atan_inv_scaled(239, q)
@@ -427,8 +442,7 @@ def _exp_endpoint(x: Dyadic, p: int, up: bool) -> Dyadic:
     if x.man == 0:
         return Dyadic(1, 0)
     w = p + _EXP_GUARD_BITS
-    # ceil or floor of x * 2**w; x.exp < 0 since 0 < |x| <= 1/2
-    big_x = -((-x.man << w) >> -x.exp) if up else (x.man << w) >> -x.exp
+    big_x = _shift(x.man, -(w + x.exp), up)  # ceil or floor of x * 2**w
     acc = term = 1 << w
     k = 0
     while term:
@@ -443,10 +457,11 @@ def _pow(b: Dyadic, e: int, w: int, up: bool) -> Dyadic:
     """Dyadic <= b**e, or >= b**e when ``up``, for b > 0 and e >= 1.
 
     Left-to-right binary powering: for each bit of e after the leading one,
-    a square, then a product by b where the bit is set, each rounded to w
-    bits on the endpoint's side.  The loop keeps a raw (mantissa, exponent)
-    pair and normalises once at the end, to the Dyadic that :func:`_round`
-    at each step gives: rounding to w bits depends only on the value.
+    a square, then a product by b where the bit is set, each cut to w bits
+    on the endpoint's side by :func:`_shift`.  The loop keeps a raw
+    (mantissa, exponent) pair and normalises once at the end, to the Dyadic
+    that :func:`_round` at each step gives: rounding to w bits depends only
+    on the value.
 
     *Claim.* The result lies on its side of b**e, within a factor
     (1 + u)**(2e - 2), u = 2**(1-w).
@@ -466,9 +481,8 @@ def _pow(b: Dyadic, e: int, w: int, up: bool) -> Dyadic:
     for step in bin(e)[3:].replace("1", "01"):  # "0": square, "1": times b
         fm, fe = (man, ex) if step == "0" else b
         man, ex = man * fm, ex + fe
-        drop = man.bit_length() - w
-        if drop > 0:  # arithmetic shift floors; negating around it ceils
-            man, ex = -(-man >> drop) if up else man >> drop, ex + drop
+        drop = max(0, man.bit_length() - w)
+        man, ex = _shift(man, drop, up), ex + drop
     return dyadic(man, ex)
 
 
@@ -479,6 +493,7 @@ def power(b: int, e: int, p: int) -> IntervalReal:
     w = p + bits(e) + 8 bits, each within a factor exp(2**(-p-6)) of it, so
     no power grows with e log2(b).  They keep their w bits, as sqrt's keep
     theirs; the next operation rounds to p."""
+    _check_precision(p)
     if b < 1 or e < 1:
         raise ValueError("power: need b >= 1 and e >= 1")
     w = p + e.bit_length() + 8
@@ -619,7 +634,11 @@ def _round_scaled(num: int, shift: int, digits: int) -> str:
     that quotient corrects the exponent estimated from ``bit_length``.  Only
     those digits are converted to a string, so magnitudes beyond Python's
     int-to-str digit limit are fine, but ``digits`` itself may not exceed
-    that limit, :data:`MAX_DIGITS`."""
+    that limit, :data:`MAX_DIGITS`.
+
+    On 2 vCPUs, 5**k takes nearly all of a 10-digit render (2 ms at 10**59600);
+    ``divmod`` costs the quotient's length times the divisor's, about 0.07 s
+    per endpoint at 4300 digits of a value near 10**(10**6)."""
     if digits < 1:
         raise DomainError("render_significant: digits must be >= 1")
     if digits > MAX_DIGITS:
@@ -643,7 +662,7 @@ def _round_scaled(num: int, shift: int, digits: int) -> str:
         num <<= shift - k
     else:
         den <<= k - shift
-    n, r = _divmod_short(num, den)  # n = floor(value / 10**k), r / den the fraction left
+    n, r = divmod(num, den)  # n = floor(value / 10**k), r / den the fraction left
     top = 10**digits
     while n >= top:  # e was too small: divide the quotient by ten
         n, t = divmod(n, 10)
@@ -667,26 +686,6 @@ def _round_scaled(num: int, shift: int, digits: int) -> str:
     if e >= 0:
         return s[: e + 1] + "." + s[e + 1 :]
     return "0." + "0" * (-e - 1) + s
-
-
-def _divmod_short(num: int, den: int) -> tuple[int, int]:
-    """divmod(num, den) for num >= 0 and den > 0, exact, in about the time of
-    one multiplication when the quotient is much shorter than ``den``.
-
-    The quotient of the leading bits, floor((num >> t) / ((den >> t) + 1)),
-    is at most the true one and, with t leaving the divisor 64 bits longer
-    than the quotient, short of it by at most one or two; one product and a
-    step or two fix it.  ``divmod`` itself costs the quotient's length times
-    the divisor's: at 4300 digits of a million-digit value, twice as long."""
-    t = 2 * den.bit_length() - num.bit_length() - 64
-    if t <= 64:
-        return divmod(num, den)
-    q = (num >> t) // ((den >> t) + 1)
-    r = num - q * den
-    while r >= den:
-        q += 1
-        r -= den
-    return q, r
 
 
 def _about(x: int) -> str:

@@ -65,7 +65,9 @@ def test_binomial_both_sides_of_cutover(monkeypatch):
 
 
 def test_binomial_prime_and_prime_power_n():
-    # n = p or p^e puts the sieve's edge (and the top prime power) at n itself
+    # n = p puts the last prime the factored route reads from the table at n
+    # itself, and n = p^e the top prime power; the table's own limit is
+    # tested by the prime-table tests below
     for n in (401, 509, 512, 625, 729, 1024, 2187, 3125, 4096, 7919, 16_384, 19_683):
         for k in (200, 256, 1000, n // 3, n // 2, n - 300):
             if 0 <= k <= n:

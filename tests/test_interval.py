@@ -34,11 +34,11 @@ from binomcert.interval import (
 )
 from binomcert.interval import (
     _atan_inv_scaled,
-    _divmod_short,
     _exp_endpoint,
     _exp_squared,
     _pow,
     _quotient,
+    _shift,
 )
 from binomcert.bounds import general_exponent
 from helpers import (
@@ -149,6 +149,53 @@ def _grid(x: Fraction, p: int) -> tuple[Fraction, Fraction]:
     step = Fraction(2) ** (e - p + 1)
     k = math.floor(x / step)
     return k * step, (k if k * step == x else k + 1) * step
+
+
+def test_shift_is_the_floor_or_ceiling_of_a_power_of_two_quotient():
+    """The one directed shift: floor(man / 2**k), or the ceiling when up,
+    for either sign of man; exact when k <= 0."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=1000, deadline=None)
+    @hypothesis.given(st.integers(-(2**300), 2**300), st.integers(-100, 100), st.booleans())
+    @hypothesis.example(-1, 1, True)  # -1/2 ceils to 0, not -1
+    @hypothesis.example(-3, 1, False)  # -3/2 floors to -2
+    @hypothesis.example(-(2**100), 100, True)  # exact, below zero
+    def check(man, k, up):
+        q = Fraction(man) / Fraction(2) ** k
+        assert _shift(man, k, up) == (math.ceil(q) if up else math.floor(q))
+
+    check()
+
+
+def test_difference_with_a_far_operand_is_the_exact_rounding():
+    """a - b, with a stand-in for an operand far below the other, gives the
+    p-bit floor and ceiling of the exact difference, for either sign and
+    order, with gaps on both sides of the ``p + 2``-bit cut."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dyadics = st.builds(
+        interval.dyadic,
+        st.one_of(st.integers(-(2**80), 2**80), st.sampled_from((1, -1, 2**64, -(2**64) + 1))),
+        st.integers(-1500, 1500),
+    )
+
+    @hypothesis.settings(max_examples=1500, deadline=None)
+    @hypothesis.given(dyadics, dyadics, st.sampled_from((2, 3, 8, 64, 512)))
+    # a borrow out of a power of two, and a carry into all ones, at the cut
+    @hypothesis.example(Dyadic(1, 0), Dyadic(1, -6), 2)
+    @hypothesis.example(Dyadic(1, 0), Dyadic(-1, -6), 2)
+    @hypothesis.example(Dyadic(7, 0), Dyadic(1, -6), 2)
+    @hypothesis.example(Dyadic(-1, -1000), Dyadic(-(2**64) + 1, 0), 64)
+    @hypothesis.example(Dyadic(0, 0), Dyadic(1, -1000), 8)
+    def check(a, b, p):
+        exact = interval._sub(a, b)
+        got = IntervalReal(a, a, p) - IntervalReal(b, b, p)
+        assert got.lo == interval._round(*exact, p, False)
+        assert got.hi == interval._round(*exact, p, True)
+
+    check()
 
 
 def test_quotient_keeps_p_plus_3_or_4_bits_at_any_lengths():
@@ -352,6 +399,12 @@ def test_private_constructor_builds_ordered_intervals(monkeypatch):
         st.lists(st.tuples(ops, st.integers(0, 99), st.integers(0, 99)), max_size=12),
         st.sampled_from((2, 3, 16, 64, 256)),
     )
+    # 7 minus exp([-2.7e11, -1.0e11]) at p = 2: operands over 1.4e11 bits apart
+    @hypothesis.example(
+        [Fraction(0), Fraction(5641065408, 14231)],
+        [("mul", 3, 3), ("sub", 0, 6), ("exp", 7, 0), ("sub", 0, 8)],
+        2,
+    )
     def check(qs, steps, p):
         built.clear()
         pool = [from_int(7, p), exact_pow2(-3, p)]
@@ -428,6 +481,9 @@ def test_scaled_width_of_endpoints_an_exponent_gap_apart(lo, hi):
     far = IntervalReal(lo, hi, 4)
     assert scaled_width(far, far) == 1 - 2**-52
     assert scaled_width(far, from_int(1, 4)) == (0.0 if hi.exp < 0 else 1 - 2**-52)
+    # the mirror image: hi far below -lo in magnitude
+    mirror = IntervalReal(Dyadic(-hi.man, hi.exp), Dyadic(-lo.man, lo.exp), 4)
+    assert scaled_width(mirror, mirror) == 1 - 2**-52
 
 
 def test_composed_containment_100k_points():
@@ -976,21 +1032,6 @@ def test_render_significant_beyond_int_str_limit():
     tiny = from_rational(Fraction(1, 3 * 10**4400), 64)
     for iv in (tiny, _point(tiny.lo), _point(tiny.hi)):
         assert render_significant(iv, 3) == "0." + "0" * 4400 + "333"
-
-
-def test_divmod_short_is_divmod():
-    # quotients from none to thousands of bits, divisors of up to 6000 bits,
-    # exact multiples and their neighbours, powers of two and all-ones divisors
-    rng = random.Random(7)
-    for _ in range(20_000):
-        db, qb = rng.randint(1, 6000), rng.randint(0, 3000)
-        den = rng.choice(
-            [rng.getrandbits(db) | 1 << (db - 1), 1 << (db - 1), (1 << db) - 1]
-        )
-        num = rng.getrandbits(db + qb)
-        if rng.random() < 0.3:
-            num = num // den * den + rng.choice([0, 1, den - 1])
-        assert _divmod_short(num, den) == divmod(num, den), (num, den)
 
 
 def test_render_significant_digits_stop_at_int_str_limit():

@@ -24,7 +24,11 @@ from binomcert.interval import (
     Dyadic,
     IntervalReal,
     PrecisionPolicy,
+    exact_pow2,
     from_int,
+    from_rational,
+    pi,
+    power,
 )
 
 SRC = Path(binomcert.__file__).parents[1]
@@ -60,8 +64,17 @@ def test_interval_checks_its_arguments():
     one, two = Dyadic(1, 0), Dyadic(1, 1)
     with pytest.raises(ValueError, match="lo > hi"):
         IntervalReal(two, one, 64)
-    with pytest.raises(ValueError, match="precision must be >= 2"):
-        IntervalReal(one, two, 1)
+    for p in (1, 0, -20):  # one check, in every builder that takes a precision
+        for build in (
+            lambda: IntervalReal(one, two, p),
+            lambda: from_int(1, p),
+            lambda: exact_pow2(1, p),
+            lambda: from_rational(Fraction(1, 3), p),
+            lambda: power(3, 5, p),
+            lambda: pi(p),
+        ):
+            with pytest.raises(ValueError, match="precision must be >= 2"):
+                build()
     iv = IntervalReal(one, two, 2)
     assert (iv.lo, iv.hi, iv.prec) == (one, two, 2)
 
